@@ -1,7 +1,8 @@
 // Seed-corpus generator: writes one representative encoded input per wire
-// message kind, serde stream, and checkpoint blob into the per-target
-// corpus directories, using the *real* encoders — so every seed is a valid
-// deep input that puts the fuzzer past the magic/CRC guards from exec one.
+// message kind, serde stream, checkpoint blob, and tensor text form into the
+// per-target corpus directories, using the *real* encoders — so every seed
+// is a valid deep input that puts the fuzzer past the magic/CRC guards from
+// exec one.
 //
 //   corpus_tool <fuzz-dir>     writes <fuzz-dir>/corpus/<target>/<name>.bin
 //
@@ -22,6 +23,8 @@
 #include "dist/messages.h"
 #include "dist/transport/wire.h"
 #include "tensor/bit_matrix.h"
+#include "tensor/io.h"
+#include "tensor/sparse_tensor.h"
 
 namespace dbtf {
 namespace {
@@ -307,6 +310,30 @@ bool WriteCkptSeeds(const std::string& dir) {
   return ok;
 }
 
+bool WriteTensorTextSeeds(const std::string& dir) {
+  // The writer's own output: header line, then one sorted entry per line.
+  SparseTensor tensor = SparseTensor::Create(4, 5, 6).value();
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    tensor.AddUnchecked(i, (i * 2) % 5, (i * 3) % 6);
+  }
+  tensor.SortAndDedup();
+  bool ok = WriteTensorText(tensor, dir + "/header.tns").ok();
+  if (!ok) std::fprintf(stderr, "corpus_tool: cannot write %s\n", dir.c_str());
+
+  // Hand-written variants the reader also accepts: comments, blank lines,
+  // CRLF, tabs, '+' signs, unsorted duplicates, and no final newline.
+  const auto text = [](const std::string& s) {
+    return std::vector<std::uint8_t>(s.begin(), s.end());
+  };
+  ok = WriteFile(dir + "/headerless.tns",
+                 text("# inferred dims\n\n3 0 1\r\n0\t2 +1\n3 0 1\n1 1 1")) &&
+       ok;
+  ok = WriteFile(dir + "/header_crlf.tns",
+                 text("2 2 2 3\r\n# comment\r\n1 1 0\r\n0 0 1 extra\r\n")) &&
+       ok;
+  return ok;
+}
+
 bool EnsureDir(const std::string& path) {
   return ::mkdir(path.c_str(), 0755) == 0 || errno == EEXIST;
 }
@@ -317,7 +344,9 @@ int Run(const std::string& fuzz_dir) {
   const std::string wire = corpus + "/fuzz_wire_frame";
   const std::string serde = corpus + "/fuzz_byte_reader";
   const std::string ckpt = corpus + "/fuzz_ckpt_manifest";
-  ok = EnsureDir(wire) && EnsureDir(serde) && EnsureDir(ckpt) && ok;
+  const std::string tensor_text = corpus + "/fuzz_tensor_text";
+  ok = EnsureDir(wire) && EnsureDir(serde) && EnsureDir(ckpt) &&
+       EnsureDir(tensor_text) && ok;
   if (!ok) {
     std::fprintf(stderr, "corpus_tool: cannot create corpus dirs under %s\n",
                  fuzz_dir.c_str());
@@ -326,6 +355,7 @@ int Run(const std::string& fuzz_dir) {
   ok = WriteWireFrameSeeds(wire);
   ok = WriteByteReaderSeeds(serde) && ok;
   ok = WriteCkptSeeds(ckpt) && ok;
+  ok = WriteTensorTextSeeds(tensor_text) && ok;
   if (ok) std::fprintf(stderr, "corpus_tool: seeds written under %s\n",
                        corpus.c_str());
   return ok ? 0 : 1;

@@ -30,9 +30,8 @@ std::uint32_t Crc32(const void* data, std::size_t size) {
   return crc ^ 0xFFFFFFFFU;
 }
 
-std::uint64_t Fnv1a64(const void* data, std::size_t size) {
+std::uint64_t Fnv1a64(const void* data, std::size_t size, std::uint64_t hash) {
   const auto* bytes = static_cast<const std::uint8_t*>(data);
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
   for (std::size_t i = 0; i < size; ++i) {
     hash ^= bytes[i];
     hash *= 0x100000001b3ULL;

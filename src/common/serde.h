@@ -14,10 +14,15 @@ namespace dbtf {
 /// Test vector: Crc32("123456789", 9) == 0xCBF43926.
 std::uint32_t Crc32(const void* data, std::size_t size);
 
+/// FNV-1a 64-bit offset basis: the hash of no bytes.
+inline constexpr std::uint64_t kFnv1a64Basis = 0xcbf29ce484222325ULL;
+
 /// FNV-1a 64-bit hash. Used for cheap content fingerprints (configuration
 /// and tensor identity checks on resume), not for integrity — integrity is
-/// Crc32's job.
-std::uint64_t Fnv1a64(const void* data, std::size_t size);
+/// Crc32's job. Passing a previous result as `hash` continues it, so a
+/// stream hashed in pieces gives the same value as the whole.
+std::uint64_t Fnv1a64(const void* data, std::size_t size,
+                      std::uint64_t hash = kFnv1a64Basis);
 
 /// Append-only little-endian binary writer. All multi-byte fields are
 /// serialized little-endian regardless of host order, so snapshots written

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <csignal>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "ckpt/checkpoint.h"
+#include "common/check.h"
 #include "common/kernels/kernels.h"
 #include "common/logging.h"
 #include "common/random.h"
@@ -76,30 +76,62 @@ std::uint64_t FingerprintConfig(const DbtfConfig& config) {
   return Fnv1a64(w.bytes().data(), w.size());
 }
 
+/// Content identity of the tensor for checkpoint resume: FNV-1a over the
+/// little-endian dims (i64) and every sorted entry's i, j, k (u32), the
+/// ByteWriter encoding. The bytes are hashed block by block as they are
+/// encoded, never held whole.
+std::uint64_t FingerprintTensor(const SparseTensor& x) {
+  std::uint8_t block[12 * 512];
+  std::size_t used = 0;
+  const auto put = [&](std::uint64_t value, int bytes) {
+    for (int b = 0; b < bytes; ++b) {
+      block[used++] = static_cast<std::uint8_t>(value >> (8 * b));
+    }
+  };
+  put(static_cast<std::uint64_t>(x.dim_i()), 8);
+  put(static_cast<std::uint64_t>(x.dim_j()), 8);
+  put(static_cast<std::uint64_t>(x.dim_k()), 8);
+  std::uint64_t hash = kFnv1a64Basis;
+  for (const Coord& c : x.entries()) {
+    if (used + 12 > sizeof(block)) {
+      hash = Fnv1a64(block, used, hash);
+      used = 0;
+    }
+    put(c.i, 4);
+    put(c.j, 4);
+    put(c.k, 4);
+  }
+  return Fnv1a64(block, used, hash);
+}
+
 }  // namespace
 
-/// Fiber indexes of the tensor, used by the kFiberSample initialization.
-struct Session::FiberIndex {
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> mode1;  // (j,k)
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> mode2;  // (i,k)
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> mode3;  // (i,j)
-
-  static std::uint64_t Pack(std::uint64_t a, std::uint64_t b) {
-    return (a << 32) | b;
-  }
-
-  explicit FiberIndex(const SparseTensor& x) {
-    for (const Coord& c : x.entries()) {
-      mode1[Pack(c.j, c.k)].push_back(c.i);
-      mode2[Pack(c.i, c.k)].push_back(c.j);
-      mode3[Pack(c.i, c.j)].push_back(c.k);
+void SampleFiberFactors(const SparseTensor& x, std::int64_t rank, Rng* rng,
+                        BitMatrix* a, BitMatrix* b, BitMatrix* c) {
+  DBTF_CHECK(x.sorted() && x.NumNonZeros() > 0);
+  *a = BitMatrix(x.dim_i(), rank);
+  *b = BitMatrix(x.dim_j(), rank);
+  *c = BitMatrix(x.dim_k(), rank);
+  const std::vector<Coord>& entries = x.entries();
+  const auto by_i = [](const Coord& l, const Coord& r) { return l.i < r.i; };
+  const auto by_j = [](const Coord& l, const Coord& r) { return l.j < r.j; };
+  for (std::int64_t r = 0; r < rank; ++r) {
+    const Coord seed = entries[static_cast<std::size_t>(
+        rng->NextBounded(entries.size()))];
+    for (std::int64_t i = 0; i < x.dim_i(); ++i) {
+      if (x.Contains(i, seed.j, seed.k)) a->Set(i, r, true);
+    }
+    const auto slice =
+        std::equal_range(entries.begin(), entries.end(), seed, by_i);
+    for (auto e = slice.first; e != slice.second; ++e) {
+      if (e->k == seed.k) b->Set(e->j, r, true);
+    }
+    const auto fiber = std::equal_range(slice.first, slice.second, seed, by_j);
+    for (auto e = fiber.first; e != fiber.second; ++e) {
+      c->Set(e->k, r, true);
     }
   }
-
-  /// Seeds one factor set: component r gets the three fibers through a
-  /// random non-zero cell as its initial columns.
-  FactorSet Sample(const SparseTensor& x, std::int64_t rank, Rng* rng) const;
-};
+}
 
 /// One set of factor matrices being optimized.
 struct Session::FactorSet {
@@ -212,36 +244,15 @@ Status Session::CheckpointContext::OnColumnCompleted() {
   return Status::OK();
 }
 
-Session::FactorSet Session::FiberIndex::Sample(const SparseTensor& x,
-                                               std::int64_t rank,
-                                               Rng* rng) const {
-  FactorSet set;
-  set.a = BitMatrix(x.dim_i(), rank);
-  set.b = BitMatrix(x.dim_j(), rank);
-  set.c = BitMatrix(x.dim_k(), rank);
-  const std::vector<Coord>& entries = x.entries();
-  if (entries.empty()) return set;
-  for (std::int64_t r = 0; r < rank; ++r) {
-    const Coord& seed = entries[static_cast<std::size_t>(
-        rng->NextBounded(entries.size()))];
-    for (const std::uint32_t i : mode1.at(Pack(seed.j, seed.k))) {
-      set.a.Set(i, r, true);
-    }
-    for (const std::uint32_t j : mode2.at(Pack(seed.i, seed.k))) {
-      set.b.Set(j, r, true);
-    }
-    for (const std::uint32_t k : mode3.at(Pack(seed.i, seed.j))) {
-      set.c.Set(k, r, true);
-    }
-  }
-  return set;
-}
-
 Result<std::unique_ptr<Session>> Session::Create(const SparseTensor& x,
                                                  const DbtfConfig& config) {
   DBTF_RETURN_IF_ERROR(config.Validate());
   if (x.dim_i() < 1 || x.dim_j() < 1 || x.dim_k() < 1) {
     return Status::InvalidArgument("tensor dimensions must be positive");
+  }
+  if (!x.sorted()) {
+    return Status::InvalidArgument(
+        "tensor entries must be sorted and deduplicated (SortAndDedup)");
   }
 
   Timer build;
@@ -252,21 +263,9 @@ Result<std::unique_ptr<Session>> Session::Create(const SparseTensor& x,
   DBTF_ASSIGN_OR_RETURN(session->cluster_, Cluster::Create(config.cluster));
   Cluster* cluster = session->cluster_.get();
 
-  // Content identity for checkpoint resume: the dims plus every (sorted,
-  // deduplicated) entry. Computed once — Factorize compares it against the
-  // fingerprint stored in a snapshot before restoring anything.
-  {
-    ByteWriter w;
-    w.WriteI64(x.dim_i());
-    w.WriteI64(x.dim_j());
-    w.WriteI64(x.dim_k());
-    for (const Coord& c : x.entries()) {
-      w.WriteU32(c.i);
-      w.WriteU32(c.j);
-      w.WriteU32(c.k);
-    }
-    session->tensor_fingerprint_ = Fnv1a64(w.bytes().data(), w.size());
-  }
+  // Computed once — Factorize compares it against the fingerprint stored in
+  // a snapshot before restoring anything.
+  session->tensor_fingerprint_ = FingerprintTensor(x);
 
   // One cluster-owned worker endpoint per machine; each ends up owning the
   // partitions the placement policy assigns to it.
@@ -632,12 +631,9 @@ Result<DbtfResult> Session::Factorize(const DbtfConfig& config) {
   DbtfResult result;
 
   // Iteration 1: update all L initial sets, keep the best (Alg. 2).
-  if (config.init_scheme == InitScheme::kFiberSample &&
-      tensor_->NumNonZeros() > 0 && fibers_ == nullptr) {
-    fibers_ = std::make_unique<FiberIndex>(*tensor_);
-  }
-  const bool fiber_init =
-      config.init_scheme == InitScheme::kFiberSample && fibers_ != nullptr;
+  // An empty tensor has no fiber to sample: it starts from random factors.
+  const bool fiber_init = config.init_scheme == InitScheme::kFiberSample &&
+                          tensor_->NumNonZeros() > 0;
   if (state.iteration == 1) {
     for (; state.set_index < config.num_initial_sets; ++state.set_index) {
       if (state.set_index > 0 && expired()) {
@@ -645,7 +641,8 @@ Result<DbtfResult> Session::Factorize(const DbtfConfig& config) {
       }
       if (!state.current_ready) {
         if (fiber_init) {
-          state.current = fibers_->Sample(*tensor_, config.rank, &rng);
+          SampleFiberFactors(*tensor_, config.rank, &rng, &state.current.a,
+                             &state.current.b, &state.current.c);
         } else {
           state.current.a = BitMatrix::Random(tensor_->dim_i(), config.rank,
                                               config.init_density, &rng);

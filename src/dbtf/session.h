@@ -18,6 +18,15 @@ class FactorBroadcastState;  // dbtf/engine.h
 class Rng;                   // common/random.h
 struct CheckpointState;      // ckpt/checkpoint.h
 
+/// Fiber-sampled start (InitScheme::kFiberSample): sets `a`, `b` and `c` to
+/// dim x `rank` matrices whose column r holds the mode-1, mode-2 and mode-3
+/// fibers through a non-zero of `x` drawn with `rng`. The fibers are read
+/// from the sorted entries directly: a binary-searched (i, j) range for mode
+/// 3, a scan of the i slice for mode 2, and one Contains probe per row for
+/// mode 1. `x` must be sorted and non-empty.
+void SampleFiberFactors(const SparseTensor& x, std::int64_t rank, Rng* rng,
+                        BitMatrix* a, BitMatrix* b, BitMatrix* c);
+
 /// A tensor resident on the distributed runtime, reusable across
 /// factorization runs.
 ///
@@ -45,7 +54,9 @@ class Session {
   /// them on `config.cluster.num_machines` workers, and charges the shuffle.
   /// Only the partitioning-relevant fields of `config` (num_partitions and
   /// cluster) bind the session; rank and iteration fields are free to differ
-  /// between later Factorize() calls.
+  /// between later Factorize() calls. `x` must be sorted and deduplicated
+  /// (SparseTensor::sorted()): the fiber-sampled start and the checkpoint
+  /// fingerprint read its entries in that order.
   static Result<std::unique_ptr<Session>> Create(const SparseTensor& x,
                                                  const DbtfConfig& config);
 
@@ -72,7 +83,6 @@ class Session {
   int num_workers() const { return cluster_->num_attached_workers(); }
 
  private:
-  struct FiberIndex;         // fiber-sampled initialization index (session.cc)
   struct FactorSet;          // one set of factor matrices being optimized
   struct TripleStats;        // merged stats of one full A/B/C update iteration
   struct RunState;           // resumable cursor + accumulators of one run
@@ -122,10 +132,6 @@ class Session {
 
   UnfoldShape shapes_[3] = {{0, 0, 0}, {0, 0, 0}, {0, 0, 0}};
   std::int64_t nparts_[3] = {0, 0, 0};
-
-  /// Lazily built fiber index for InitScheme::kFiberSample (rank-independent,
-  /// so it is shared across every run of the session).
-  std::unique_ptr<FiberIndex> fibers_;
 
   /// The one-off shuffle, re-attributed to every run's report.
   CommSnapshot shuffle_snapshot_;

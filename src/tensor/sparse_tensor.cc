@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 namespace dbtf {
 
@@ -18,6 +19,21 @@ Result<SparseTensor> SparseTensor::Create(std::int64_t dim_i,
   return SparseTensor(dim_i, dim_j, dim_k);
 }
 
+Result<SparseTensor> SparseTensor::FromEntries(std::int64_t dim_i,
+                                               std::int64_t dim_j,
+                                               std::int64_t dim_k,
+                                               std::vector<Coord> entries) {
+  DBTF_ASSIGN_OR_RETURN(SparseTensor tensor, Create(dim_i, dim_j, dim_k));
+  for (const Coord& c : entries) {
+    if (c.i >= dim_i || c.j >= dim_j || c.k >= dim_k) {
+      return Status::OutOfRange("tensor coordinate out of range");
+    }
+  }
+  tensor.entries_ = std::move(entries);
+  tensor.SortAndDedup();
+  return tensor;
+}
+
 Status SparseTensor::Add(std::int64_t i, std::int64_t j, std::int64_t k) {
   if (i < 0 || i >= i_ || j < 0 || j >= j_ || k < 0 || k >= k_) {
     return Status::OutOfRange("tensor coordinate out of range");
@@ -28,7 +44,9 @@ Status SparseTensor::Add(std::int64_t i, std::int64_t j, std::int64_t k) {
 }
 
 void SparseTensor::SortAndDedup() {
-  std::sort(entries_.begin(), entries_.end());
+  if (!std::is_sorted(entries_.begin(), entries_.end())) {
+    std::sort(entries_.begin(), entries_.end());
+  }
   entries_.erase(std::unique(entries_.begin(), entries_.end()),
                  entries_.end());
   sorted_ = true;

@@ -36,6 +36,14 @@ class SparseTensor {
   static Result<SparseTensor> Create(std::int64_t dim_i, std::int64_t dim_j,
                                      std::int64_t dim_k);
 
+  /// Validating factory that adopts `entries` as the tensor's storage (no
+  /// copy), then sorts and deduplicates them. An entry outside the shape
+  /// returns kOutOfRange.
+  static Result<SparseTensor> FromEntries(std::int64_t dim_i,
+                                          std::int64_t dim_j,
+                                          std::int64_t dim_k,
+                                          std::vector<Coord> entries);
+
   std::int64_t dim_i() const { return i_; }
   std::int64_t dim_j() const { return j_; }
   std::int64_t dim_k() const { return k_; }
@@ -66,8 +74,13 @@ class SparseTensor {
     sorted_ = false;
   }
 
-  /// Sorts entries lexicographically and removes duplicates.
+  /// Sorts entries lexicographically (skipped when they already are) and
+  /// removes duplicates.
   void SortAndDedup();
+
+  /// True when the entries are sorted and duplicate-free: after
+  /// SortAndDedup() and before the next Add.
+  bool sorted() const { return sorted_; }
 
   /// True iff cell (i, j, k) is 1. Requires sorted entries (SortAndDedup).
   bool Contains(std::int64_t i, std::int64_t j, std::int64_t k) const;

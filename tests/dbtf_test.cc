@@ -79,6 +79,20 @@ TEST(Dbtf, RejectsDegenerateTensor) {
   EXPECT_FALSE(Dbtf::Factorize(*t, SmallConfig()).ok());
 }
 
+/// Session::Create reads the entries in sorted order (fiber-sampled start,
+/// checkpoint fingerprint), so a tensor that was never sorted is refused.
+TEST(Dbtf, RejectsUnsortedTensor) {
+  auto t = SparseTensor::Create(4, 4, 4);
+  ASSERT_TRUE(t.ok());
+  t->AddUnchecked(3, 1, 2);
+  t->AddUnchecked(0, 2, 1);
+  t->AddUnchecked(2, 2, 2);
+  EXPECT_EQ(Dbtf::Factorize(*t, SmallConfig()).status().code(),
+            StatusCode::kInvalidArgument);
+  t->SortAndDedup();
+  EXPECT_TRUE(Dbtf::Factorize(*t, SmallConfig()).ok());
+}
+
 TEST(Dbtf, FinalErrorMatchesIndependentEvaluator) {
   const PlantedTensor p = MakePlanted(24, 4, 21);
   auto r = Dbtf::Factorize(p.tensor, SmallConfig());

@@ -11,6 +11,8 @@
 #include <vector>
 
 #include "ckpt/checkpoint.h"
+#include "common/random.h"
+#include "common/serde.h"
 #include "dbtf/dbtf.h"
 #include "dbtf/session.h"
 #include "dist/fault.h"
@@ -821,6 +823,122 @@ TEST(KernelAblation, CheckpointsResumeAcrossBackends) {
   ExpectSameFactorsAndErrors(*resumed, *baseline);
   ExpectSameComm(resumed->comm, baseline->comm);
   EXPECT_GE(resumed->resumed_from_iteration, 1);
+}
+
+// --- Set-up path goldens -----------------------------------------------------
+//
+// Pinned values recorded before the set-up path (fingerprint, fiber-sampled
+// initialization) was rewritten; a change to either moves these numbers.
+
+/// FNV-1a digest of a factor matrix: shape, then every bit in row order.
+std::uint64_t MatrixDigest(const BitMatrix& m) {
+  ByteWriter w;
+  w.WriteI64(m.rows());
+  w.WriteI64(m.cols());
+  for (std::int64_t r = 0; r < m.rows(); ++r) {
+    for (std::int64_t c = 0; c < m.cols(); ++c) {
+      w.WriteU8(m.Get(r, c) ? 1 : 0);
+    }
+  }
+  return Fnv1a64(w.bytes().data(), w.size());
+}
+
+/// The tensor fingerprint a session stores in its checkpoints is FNV-1a over
+/// the little-endian dims and (i, j, k) of every sorted entry. Snapshots
+/// written by older builds resume only while that value stays the same.
+TEST(SetupGolden, TensorFingerprintIsStable) {
+  SparseTensor x = SparseTensor::Create(5, 6, 7).value();
+  for (std::uint32_t i = 0; i < 5; ++i) {
+    for (std::uint32_t j = 0; j < 6; ++j) {
+      for (std::uint32_t k = 0; k < 7; ++k) {
+        if ((i * 7 + j * 3 + k) % 4 == 0) x.AddUnchecked(i, j, k);
+      }
+    }
+  }
+  x.SortAndDedup();
+
+  ByteWriter w;
+  w.WriteI64(x.dim_i());
+  w.WriteI64(x.dim_j());
+  w.WriteI64(x.dim_k());
+  for (const Coord& c : x.entries()) {
+    w.WriteU32(c.i);
+    w.WriteU32(c.j);
+    w.WriteU32(c.k);
+  }
+  const std::uint64_t reference = Fnv1a64(w.bytes().data(), w.size());
+  EXPECT_EQ(reference, 0x27f589b6cb22b291ULL);
+
+  const std::string dir = CkptDir("fingerprint");
+  DbtfConfig config = CheckpointedConfig(dir);
+  config.rank = 2;
+  config.halt_after_columns = 1;
+  ASSERT_EQ(Dbtf::Factorize(x, config).status().code(),
+            StatusCode::kResourceExhausted);
+  auto store = CheckpointStore::Open(dir, config.checkpoint_retention);
+  ASSERT_TRUE(store.ok());
+  auto ck = store->LoadNewestValid();
+  ASSERT_TRUE(ck.ok()) << ck.status().ToString();
+  EXPECT_EQ(ck->tensor_fingerprint, reference);
+}
+
+/// Fiber-sampled start (the default init) with four initial sets on a
+/// planted 32^3 tensor: factors and error trajectory are pinned.
+TEST(SetupGolden, FiberSampleFactorizeDigest) {
+  PlantedSpec spec;
+  spec.dim_i = 32;
+  spec.dim_j = 32;
+  spec.dim_k = 32;
+  spec.rank = 4;
+  spec.factor_density = 0.2;
+  spec.additive_noise = 0.05;
+  spec.destructive_noise = 0.05;
+  spec.seed = 5;
+  const PlantedTensor p = GeneratePlanted(spec).value();
+  DbtfConfig config = SmallConfig(4);
+  config.num_initial_sets = 4;
+  ASSERT_EQ(config.init_scheme, InitScheme::kFiberSample);
+  auto r = Dbtf::Factorize(p.tensor, config);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(MatrixDigest(r->a), 0x1fd9434094ea1331ULL);
+  EXPECT_EQ(MatrixDigest(r->b), 0x47c0e6cc2d63ab4bULL);
+  EXPECT_EQ(MatrixDigest(r->c), 0x20e65f129fede7f0ULL);
+  EXPECT_EQ(r->final_error, 217);
+  EXPECT_EQ(r->iteration_errors, (std::vector<std::int64_t>{217, 217}));
+}
+
+/// Oracle for the index-free sampler: the same RNG draws, with each fiber
+/// found by a brute-force scan over every entry.
+TEST(SetupGolden, FiberSamplerMatchesBruteForceScan) {
+  const PlantedTensor p = MakePlanted(24, 4, 81);
+  const std::vector<Coord>& entries = p.tensor.entries();
+  constexpr std::int64_t kRank = 9;
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    Rng rng(seed);
+    BitMatrix a;
+    BitMatrix b;
+    BitMatrix c;
+    SampleFiberFactors(p.tensor, kRank, &rng, &a, &b, &c);
+
+    Rng oracle_rng(seed);
+    BitMatrix want_a(p.tensor.dim_i(), kRank);
+    BitMatrix want_b(p.tensor.dim_j(), kRank);
+    BitMatrix want_c(p.tensor.dim_k(), kRank);
+    for (std::int64_t r = 0; r < kRank; ++r) {
+      const Coord cell = entries[static_cast<std::size_t>(
+          oracle_rng.NextBounded(entries.size()))];
+      for (const Coord& e : entries) {
+        if (e.j == cell.j && e.k == cell.k) want_a.Set(e.i, r, true);
+        if (e.i == cell.i && e.k == cell.k) want_b.Set(e.j, r, true);
+        if (e.i == cell.i && e.j == cell.j) want_c.Set(e.k, r, true);
+      }
+    }
+    EXPECT_EQ(a, want_a) << "seed " << seed;
+    EXPECT_EQ(b, want_b) << "seed " << seed;
+    EXPECT_EQ(c, want_c) << "seed " << seed;
+    EXPECT_EQ(rng.NextUint64(), oracle_rng.NextUint64())
+        << "the sampler draws exactly one cell per component";
+  }
 }
 
 /// The rank scan runs every candidate on one resident session.

@@ -49,6 +49,38 @@ TEST(SparseTensor, SortAndDedup) {
   EXPECT_EQ(t->entries()[1], (Coord{3, 2, 1}));
 }
 
+TEST(SparseTensor, SortedTracksAddsAndSortAndDedup) {
+  auto t = SparseTensor::Create(4, 4, 4);
+  ASSERT_TRUE(t.ok());
+  EXPECT_TRUE(t->sorted()) << "an empty tensor is trivially sorted";
+  // An Add clears the flag even when it keeps the order.
+  ASSERT_TRUE(t->Add(0, 0, 0).ok());
+  ASSERT_TRUE(t->Add(0, 0, 1).ok());
+  ASSERT_TRUE(t->Add(0, 0, 1).ok());
+  EXPECT_FALSE(t->sorted());
+  // Already-ordered entries skip the sort but are still deduplicated.
+  t->SortAndDedup();
+  EXPECT_TRUE(t->sorted());
+  EXPECT_EQ(t->NumNonZeros(), 2);
+}
+
+TEST(SparseTensor, FromEntriesAdoptsSortsAndChecksBounds) {
+  auto t = SparseTensor::FromEntries(
+      3, 3, 3, {Coord{2, 0, 1}, Coord{0, 1, 2}, Coord{2, 0, 1}});
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  EXPECT_TRUE(t->sorted());
+  ASSERT_EQ(t->NumNonZeros(), 2);
+  EXPECT_EQ(t->entries()[0], (Coord{0, 1, 2}));
+  EXPECT_EQ(t->entries()[1], (Coord{2, 0, 1}));
+
+  EXPECT_EQ(SparseTensor::FromEntries(3, 3, 3, {Coord{0, 3, 0}})
+                .status()
+                .code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(SparseTensor::FromEntries(-1, 3, 3, {}).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(SparseTensor, ContainsAfterSort) {
   auto t = SparseTensor::Create(8, 8, 8);
   ASSERT_TRUE(t.ok());
