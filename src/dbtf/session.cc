@@ -273,8 +273,9 @@ Result<std::unique_ptr<Session>> Session::Create(const SparseTensor& x,
 
   // One-off partitioning of the three unfoldings (Algorithm 3). A real
   // cluster shuffles every non-zero of each unfolding once (Lemma 6). The
-  // driver builds the partitions, moves them onto the owning machines, and
-  // keeps no partition data itself.
+  // driver builds the partitions, moves them onto the owning machines (all
+  // machines at once, one unfolding at a time), and keeps no partition data
+  // itself.
   for (const Mode mode : {Mode::kOne, Mode::kTwo, Mode::kThree}) {
     DBTF_ASSIGN_OR_RETURN(
         PartitionedUnfolding unfolding,
@@ -282,13 +283,9 @@ Result<std::unique_ptr<Session>> Session::Create(const SparseTensor& x,
     const std::size_t slot = static_cast<std::size_t>(mode) - 1;
     session->shapes_[slot] = unfolding.shape();
     session->nparts_[slot] = unfolding.num_partitions();
-    std::vector<Partition> partitions =
-        std::move(unfolding).ReleasePartitions();
-    for (std::size_t p = 0; p < partitions.size(); ++p) {
-      DBTF_RETURN_IF_ERROR(StorePartition(
-          *cluster, mode, static_cast<std::int64_t>(p),
-          std::move(partitions[p]), session->shapes_[slot]));
-    }
+    DBTF_RETURN_IF_ERROR(StorePartitions(
+        *cluster, mode, std::move(unfolding).ReleasePartitions(),
+        session->shapes_[slot]));
   }
   cluster->ChargeShuffle(3 * x.NumNonZeros() *
                          static_cast<std::int64_t>(3 * sizeof(std::uint32_t)));

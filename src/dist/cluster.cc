@@ -440,6 +440,27 @@ Future<Unit> Cluster::AsyncQueryWorker(int machine, QueryRequest msg,
   return future;
 }
 
+Future<Unit> Cluster::AsyncStorePartition(StorePartitionRequest msg) {
+  Promise<Unit> promise;
+  Future<Unit> future = promise.future();
+  const int owner = OwnerOf(msg.index);
+  std::shared_ptr<WorkerEndpoint> endpoint = EndpointOn(owner);
+  if (endpoint == nullptr) {
+    promise.Set(Status::FailedPrecondition(
+        "no worker endpoint attached to the partition's machine"));
+    return future;
+  }
+  // The task owns the request and pins the endpoint, like a routing
+  // snapshot; std::function needs a copyable callable, hence the shared_ptr.
+  auto request = std::make_shared<StorePartitionRequest>(std::move(msg));
+  mailboxes_[static_cast<std::size_t>(owner)]->Post(
+      [promise, endpoint = std::move(endpoint), request]() mutable {
+        promise.Set(
+            ToUnitResult(endpoint->Store(std::move(*request), nullptr)));
+      });
+  return future;
+}
+
 Status Cluster::QueryWorker(int machine, QueryRequest msg,
                             QueryResponse* response) {
   return AsyncQueryWorker(machine, std::move(msg), response).Get().status();

@@ -233,6 +233,17 @@ class Cluster {
   Future<Unit> AsyncQueryWorker(int machine, QueryRequest msg,
                                 QueryResponse* response) DBTF_EXCLUDES(mu_);
 
+  /// Asynchronously ships one partition to its owner, machine
+  /// OwnerOf(msg.index), on that machine's serial mailbox, so stores to
+  /// different machines overlap. This is the set-up path of the
+  /// provisioning seam (dist/provision.h), not routing: the delivery goes
+  /// straight to the endpoint, with no retry policy, no fault-injector
+  /// counter and no ledger or clock charge (the session charges the one-off
+  /// shuffle as a formula, Lemma 6). Fails with kFailedPrecondition when the
+  /// owner has no attached endpoint.
+  Future<Unit> AsyncStorePartition(StorePartitionRequest msg)
+      DBTF_EXCLUDES(mu_);
+
   /// Blocking shims over the typed async variants (enqueue + Get()).
   Status QueryWorker(int machine, QueryRequest msg, QueryResponse* response)
       DBTF_EXCLUDES(mu_);

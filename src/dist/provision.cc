@@ -68,25 +68,36 @@ std::int64_t PartitionPackedBytes(const Partition& partition) {
   return bytes;
 }
 
-/// Ships one partition to `endpoint` as a typed store message.
-Status StoreOnEndpoint(WorkerEndpoint& endpoint, Mode mode,
-                       std::int64_t index, Partition partition,
-                       const UnfoldShape& shape) {
+/// The typed store message shipping `partition` as index `index`.
+StorePartitionRequest StoreRequest(Mode mode, std::int64_t index,
+                                   Partition partition,
+                                   const UnfoldShape& shape) {
   StorePartitionRequest msg;
   msg.mode = mode;
   msg.index = index;
   msg.shape = shape;
   msg.partition = std::move(partition);
-  return endpoint.Store(std::move(msg), nullptr);
+  return msg;
 }
 
 }  // namespace
 
-Status StorePartition(Cluster& cluster, Mode mode, std::int64_t index,
-                      Partition partition, const UnfoldShape& shape) {
-  DBTF_ASSIGN_OR_RETURN(std::shared_ptr<WorkerEndpoint> endpoint,
-                        ResidentEndpoint(cluster, index));
-  return StoreOnEndpoint(*endpoint, mode, index, std::move(partition), shape);
+Status StorePartitions(Cluster& cluster, Mode mode,
+                       std::vector<Partition> partitions,
+                       const UnfoldShape& shape) {
+  std::vector<Future<Unit>> stores;
+  stores.reserve(partitions.size());
+  for (std::size_t p = 0; p < partitions.size(); ++p) {
+    stores.push_back(cluster.AsyncStorePartition(
+        StoreRequest(mode, static_cast<std::int64_t>(p),
+                     std::move(partitions[p]), shape)));
+  }
+  Status first = Status::OK();
+  for (const Future<Unit>& store : stores) {
+    const Status status = store.Get().status();
+    if (first.ok()) first = status;
+  }
+  return first;
 }
 
 Status LendPartition(Cluster& cluster, Mode mode, std::int64_t index,
@@ -99,7 +110,7 @@ Status LendPartition(Cluster& cluster, Mode mode, std::int64_t index,
   if (worker == nullptr) {
     return Status::FailedPrecondition(
         "LendPartition requires an in-process worker; the socket transport "
-        "must use StorePartition");
+        "must use StorePartitions");
   }
   worker->BorrowPartition(mode, index, partition, shape);
   return Status::OK();
@@ -175,8 +186,8 @@ Status RestoreCoverageCore(Cluster& cluster,
         if (target == nullptr) continue;
         // The copy keeps the partition available for the next ring step
         // when this target's worker process turns out to be dead too.
-        const Status status =
-            StoreOnEndpoint(*target, spec.mode, p, partition, spec.shape);
+        const Status status = target->Store(
+            StoreRequest(spec.mode, p, partition, spec.shape), nullptr);
         if (status.ok()) {
           stored = true;
           if (charge) cluster.ChargeReprovision(target_machine, bytes);

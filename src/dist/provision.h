@@ -29,17 +29,22 @@ class Cluster;
 /// the cluster idle. Fails if any machine already has an endpoint.
 Status ProvisionWorkers(Cluster& cluster);
 
-/// Moves `partition` (index `index` of the mode-`mode` unfolding, shape
-/// `shape`) onto the machine the cluster's placement policy names, giving
-/// the resident worker ownership. The driver keeps no partition data.
-/// Fails if that machine has no attached endpoint.
-Status StorePartition(Cluster& cluster, Mode mode, std::int64_t index,
-                      Partition partition, const UnfoldShape& shape);
+/// Moves the partitions of the mode-`mode` unfolding (shape `shape`;
+/// partition p is index p) onto the machines the cluster's placement policy
+/// names, giving each resident worker ownership. The driver keeps no
+/// partition data. The stores run concurrently, one serial queue per
+/// machine, and the call returns once every store has finished, so at most
+/// one unfolding is in flight. Fails, with the failure of the lowest index,
+/// if a machine has no attached endpoint.
+Status StorePartitions(Cluster& cluster, Mode mode,
+                       std::vector<Partition> partitions,
+                       const UnfoldShape& shape);
 
-/// Like StorePartition, but the resident worker only borrows `partition`;
-/// the caller keeps ownership and must keep it alive until the workers are
-/// detached. Borrowing shares a driver-side pointer, so it requires the
-/// in-process transport; over sockets it fails with kFailedPrecondition.
+/// Places partition `index` like StorePartitions, but the resident worker
+/// only borrows `partition`; the caller keeps ownership and must keep it
+/// alive until the workers are detached. Borrowing shares a driver-side
+/// pointer, so it requires the in-process transport; over sockets it fails
+/// with kFailedPrecondition.
 Status LendPartition(Cluster& cluster, Mode mode, std::int64_t index,
                      const Partition* partition, const UnfoldShape& shape);
 

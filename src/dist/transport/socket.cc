@@ -4,6 +4,7 @@
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -275,21 +276,6 @@ class SocketTransport final : public Transport {
 
 }  // namespace
 
-Status WriteAllBytes(int fd, const std::uint8_t* data, std::size_t size) {
-  std::size_t written = 0;
-  while (written < size) {
-    const ssize_t n =
-        ::send(fd, data + written, size - written, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return IoErrno("send");
-    }
-    if (n == 0) return Status::IoError("send: connection closed");
-    written += static_cast<std::size_t>(n);
-  }
-  return Status::OK();
-}
-
 Result<bool> ReadFullBytes(int fd, std::uint8_t* data, std::size_t size) {
   std::size_t got = 0;
   while (got < size) {
@@ -308,8 +294,41 @@ Result<bool> ReadFullBytes(int fd, std::uint8_t* data, std::size_t size) {
 }
 
 Status WriteFrameTo(int fd, WireKind kind, const ByteWriter& payload) {
-  const std::vector<std::uint8_t> frame = EncodeFrame(kind, payload);
-  return WriteAllBytes(fd, frame.data(), frame.size());
+  // Header, payload and CRC trailer leave in one vectored send, straight
+  // from the encoder's buffer: no whole-frame copy.
+  auto header = EncodeFrameHeader(kind, payload.size());
+  std::uint32_t crc = payload.Crc();  // little-endian host, see serde.h
+  iovec parts[3] = {
+      {header.data(), header.size()},
+      {const_cast<std::uint8_t*>(payload.bytes().data()), payload.size()},
+      {&crc, sizeof(crc)}};
+  iovec* next = parts;
+  std::size_t left = 3;
+  while (left > 0) {
+    msghdr msg{};
+    msg.msg_iov = next;
+    msg.msg_iovlen = left;
+    // MSG_NOSIGNAL: a dead peer surfaces as kIoError, not SIGPIPE.
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return IoErrno("sendmsg");
+    }
+    if (n == 0) return Status::IoError("send: connection closed");
+    // Retire the fully sent parts (an empty payload retires with the
+    // header); resume a partly sent one mid-way.
+    std::size_t sent = static_cast<std::size_t>(n);
+    while (left > 0 && sent >= next->iov_len) {
+      sent -= next->iov_len;
+      ++next;
+      --left;
+    }
+    if (left > 0) {
+      next->iov_base = static_cast<std::uint8_t*>(next->iov_base) + sent;
+      next->iov_len -= sent;
+    }
+  }
+  return Status::OK();
 }
 
 Result<FramedRead> ReadFrameFrom(int fd) {
@@ -336,10 +355,8 @@ Result<FramedRead> ReadFrameFrom(int fd) {
   DBTF_ASSIGN_OR_RETURN(bool have_crc,
                         ReadFullBytes(fd, crc_bytes, sizeof(crc_bytes)));
   if (!have_crc) return Status::IoError("recv: connection closed mid-frame");
-  const std::uint32_t crc = static_cast<std::uint32_t>(crc_bytes[0]) |
-                            static_cast<std::uint32_t>(crc_bytes[1]) << 8 |
-                            static_cast<std::uint32_t>(crc_bytes[2]) << 16 |
-                            static_cast<std::uint32_t>(crc_bytes[3]) << 24;
+  std::uint32_t crc = 0;
+  std::memcpy(&crc, crc_bytes, sizeof(crc));  // little-endian host
   DBTF_RETURN_IF_ERROR(VerifyFramePayload(result.frame.payload, crc));
   return result;
 }

@@ -23,15 +23,13 @@ namespace dbtf {
 // (socket.cc, routing library) and the worker-side server loop
 // (worker_server.cc / worker_main.cc, which link against this library).
 
-/// Writes all of `size` bytes to `fd`, retrying on EINTR and short writes.
-/// Sends with MSG_NOSIGNAL so a dead peer surfaces as kIoError, not SIGPIPE.
-Status WriteAllBytes(int fd, const std::uint8_t* data, std::size_t size);
-
 /// Reads exactly `size` bytes from `fd`. Returns false on clean EOF before
 /// the first byte; fails with kIoError on mid-buffer EOF or a read error.
 Result<bool> ReadFullBytes(int fd, std::uint8_t* data, std::size_t size);
 
-/// Encodes `payload` as one frame of `kind` and writes it to `fd`.
+/// Writes `payload` to `fd` as one frame of `kind` (the bytes EncodeFrame
+/// would build), retrying on EINTR and short writes. Sends with
+/// MSG_NOSIGNAL so a dead peer surfaces as kIoError, not SIGPIPE.
 Status WriteFrameTo(int fd, WireKind kind, const ByteWriter& payload);
 
 /// One frame read off a socket, or a clean end-of-stream marker.

@@ -1,5 +1,6 @@
 #include "dist/transport/wire.h"
 
+#include <array>
 #include <cstring>
 #include <utility>
 
@@ -18,19 +19,23 @@ constexpr std::int64_t kMaxWireDim = std::int64_t{1} << 32;
 /// unfolding cap, so anything larger is corruption, not data.
 constexpr std::uint64_t kMaxFramePayload = std::uint64_t{1} << 33;
 
+/// Fixed-size fields of one partition block: four i64 bounds, the last-word
+/// mask, the type byte, the bit-matrix shape and the row-nnz count.
+constexpr std::uint64_t kMinBlockWireBytes = 5 * 8 + 1 + 2 * 8 + 8;
+
 Status Corrupt(const char* what) {
   return Status::IoError(std::string("wire message corrupt: ") + what);
+}
+
+/// Packed words of a bit matrix; rows are contiguous, so one run.
+std::size_t MatrixWords(const BitMatrix& m) {
+  return static_cast<std::size_t>(m.rows() * m.words_per_row());
 }
 
 void EncodeBitMatrix(const BitMatrix& m, ByteWriter* writer) {
   writer->WriteI64(m.rows());
   writer->WriteI64(m.cols());
-  for (std::int64_t r = 0; r < m.rows(); ++r) {
-    const BitWord* row = m.RowData(r);
-    for (std::int64_t w = 0; w < m.words_per_row(); ++w) {
-      writer->WriteU64(row[w]);
-    }
-  }
+  writer->WriteU64s(m.RowData(0), MatrixWords(m));
 }
 
 Result<BitMatrix> DecodeBitMatrix(ByteReader* reader) {
@@ -39,21 +44,19 @@ Result<BitMatrix> DecodeBitMatrix(ByteReader* reader) {
   if (rows < 0 || cols < 0 || rows > kMaxWireDim || cols > kMaxWireDim) {
     return Corrupt("bit-matrix shape out of range");
   }
-  const std::int64_t words_per_row = (cols + 63) / 64;
-  const std::uint64_t needed = static_cast<std::uint64_t>(rows) *
-                               static_cast<std::uint64_t>(words_per_row) * 8;
-  if (needed > reader->remaining()) {
+  const std::uint64_t words_per_row =
+      static_cast<std::uint64_t>((cols + 63) / 64);
+  if (words_per_row != 0 && static_cast<std::uint64_t>(rows) >
+                                reader->remaining() / 8 / words_per_row) {
     return Corrupt("bit-matrix payload truncated");
   }
   DBTF_ASSIGN_OR_RETURN(BitMatrix matrix, BitMatrix::Create(rows, cols));
-  // Padding bits of the final word must be zero — that invariant backs the
-  // whole-word row operations (and operator==) everywhere else, so a payload
-  // violating it is rejected rather than silently masked.
+  DBTF_RETURN_IF_ERROR(
+      reader->ReadU64s(matrix.MutableRowData(0), MatrixWords(matrix)));
+  // Padding bits of every row's final word must be zero — that invariant
+  // backs the whole-word row operations (and operator==) everywhere else, so
+  // a payload violating it is rejected rather than silently masked.
   for (std::int64_t r = 0; r < rows; ++r) {
-    BitWord* row = matrix.MutableRowData(r);
-    for (std::int64_t w = 0; w < words_per_row; ++w) {
-      DBTF_ASSIGN_OR_RETURN(row[w], reader->ReadU64());
-    }
     if (!TailPaddingZero(matrix.Row(r))) {
       return Corrupt("bit-matrix padding bits set");
     }
@@ -92,10 +95,10 @@ void EncodeMatrixDelta(const MatrixDelta& d, ByteWriter* writer) {
   const std::size_t words_per_column =
       static_cast<std::size_t>((d.rows + 63) / 64);
   for (std::size_t i = 0; i < d.columns.size(); ++i) {
+    DBTF_DCHECK(d.column_bits[i].size() >= words_per_column,
+                "changed column carries fewer words than its rows need");
     writer->WriteI64(d.columns[i]);
-    for (std::size_t w = 0; w < words_per_column; ++w) {
-      writer->WriteU64(d.column_bits[i][w]);
-    }
+    writer->WriteU64s(d.column_bits[i].data(), words_per_column);
   }
 }
 
@@ -124,7 +127,7 @@ Result<MatrixDelta> DecodeMatrixDelta(ByteReader* reader) {
       static_cast<std::uint64_t>((d.rows + 63) / 64);
   const std::uint64_t per_column = 8 + words_per_column * 8;
   if (count > static_cast<std::uint64_t>(d.cols) ||
-      count * per_column > reader->remaining()) {
+      count > reader->remaining() / per_column) {
     return Corrupt("column-delta count truncated");
   }
   d.columns.reserve(static_cast<std::size_t>(count));
@@ -135,10 +138,7 @@ Result<MatrixDelta> DecodeMatrixDelta(ByteReader* reader) {
       return Corrupt("changed column index out of range");
     }
     std::vector<BitWord> bits(static_cast<std::size_t>(words_per_column), 0);
-    for (std::uint64_t w = 0; w < words_per_column; ++w) {
-      DBTF_ASSIGN_OR_RETURN(bits[static_cast<std::size_t>(w)],
-                            reader->ReadU64());
-    }
+    DBTF_RETURN_IF_ERROR(reader->ReadU64s(bits.data(), bits.size()));
     d.columns.push_back(column);
     d.column_bits.push_back(std::move(bits));
   }
@@ -148,6 +148,10 @@ Result<MatrixDelta> DecodeMatrixDelta(ByteReader* reader) {
 }  // namespace
 
 void EncodeFactorDelta(const FactorDelta& msg, ByteWriter* writer) {
+  // WireBytes counts the packed payloads; 64 bytes covers the fixed fields
+  // of the message and of each update.
+  writer->Reserve(static_cast<std::size_t>(msg.WireBytes()) +
+                  64 * (msg.updates.size() + 1));
   EncodeMode(msg.mode, writer);
   writer->WriteI64(msg.rows);
   writer->WriteU8(static_cast<std::uint8_t>(msg.mf_slot));
@@ -185,10 +189,11 @@ Result<FactorDelta> DecodeFactorDelta(ByteReader* reader) {
 }
 
 void EncodeRunUpdateColumn(const RunUpdateColumn& msg, ByteWriter* writer) {
+  writer->Reserve(1 + 8 + 8 + msg.row_masks.size() * 8);
   EncodeMode(msg.mode, writer);
   writer->WriteI64(msg.column);
   writer->WriteI64(msg.rows);
-  for (const std::uint64_t mask : msg.row_masks) writer->WriteU64(mask);
+  writer->WriteU64s(msg.row_masks.data(), msg.row_masks.size());
 }
 
 Result<RunUpdateColumn> DecodeRunUpdateColumn(ByteReader* reader) {
@@ -200,14 +205,12 @@ Result<RunUpdateColumn> DecodeRunUpdateColumn(ByteReader* reader) {
       msg.rows > kMaxWireDim) {
     return Corrupt("run-update-column header out of range");
   }
-  if (static_cast<std::uint64_t>(msg.rows) * 8 > reader->remaining()) {
+  if (static_cast<std::uint64_t>(msg.rows) > reader->remaining() / 8) {
     return Corrupt("row masks truncated");
   }
   msg.row_masks.resize(static_cast<std::size_t>(msg.rows));
-  for (std::int64_t r = 0; r < msg.rows; ++r) {
-    DBTF_ASSIGN_OR_RETURN(msg.row_masks[static_cast<std::size_t>(r)],
-                          reader->ReadU64());
-  }
+  DBTF_RETURN_IF_ERROR(
+      reader->ReadU64s(msg.row_masks.data(), msg.row_masks.size()));
   return msg;
 }
 
@@ -234,7 +237,9 @@ namespace {
 void EncodeInt64Vector(const std::vector<std::int64_t>& values,
                        ByteWriter* writer) {
   writer->WriteU64(values.size());
-  for (const std::int64_t v : values) writer->WriteI64(v);
+  // Two's complement: an int64 run has the bytes of the same u64 run.
+  writer->WriteU64s(reinterpret_cast<const std::uint64_t*>(values.data()),
+                    values.size());
 }
 
 Result<std::vector<std::int64_t>> DecodeInt64Vector(ByteReader* reader) {
@@ -245,10 +250,8 @@ Result<std::vector<std::int64_t>> DecodeInt64Vector(ByteReader* reader) {
     return Corrupt("int64 vector truncated");
   }
   std::vector<std::int64_t> values(static_cast<std::size_t>(count), 0);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    DBTF_ASSIGN_OR_RETURN(values[static_cast<std::size_t>(i)],
-                          reader->ReadI64());
-  }
+  DBTF_RETURN_IF_ERROR(reader->ReadU64s(
+      reinterpret_cast<std::uint64_t*>(values.data()), values.size()));
   return values;
 }
 
@@ -259,7 +262,7 @@ void EncodePackedBits(const std::vector<BitWord>& words, std::int64_t bits,
   DBTF_DCHECK(words.size() == WordsForBits(static_cast<std::size_t>(bits)),
               "packed bit vector does not match its logical length");
   writer->WriteI64(bits);
-  for (const BitWord w : words) writer->WriteU64(w);
+  writer->WriteU64s(words.data(), words.size());
 }
 
 struct PackedBits {
@@ -279,10 +282,8 @@ Result<PackedBits> DecodePackedBits(ByteReader* reader) {
     return Corrupt("packed bit vector truncated");
   }
   packed.words.assign(static_cast<std::size_t>(nwords), 0);
-  for (std::uint64_t w = 0; w < nwords; ++w) {
-    DBTF_ASSIGN_OR_RETURN(packed.words[static_cast<std::size_t>(w)],
-                          reader->ReadU64());
-  }
+  DBTF_RETURN_IF_ERROR(
+      reader->ReadU64s(packed.words.data(), packed.words.size()));
   if (!TailPaddingZero(BitSpan(packed.words.data(),
                                static_cast<std::size_t>(packed.bits)))) {
     return Corrupt("packed bit padding set");
@@ -316,6 +317,13 @@ Result<CollectErrorsResponse> DecodeCollectErrorsResponse(ByteReader* reader) {
 
 void EncodeStorePartitionRequest(const StorePartitionRequest& msg,
                                  ByteWriter* writer) {
+  // WireBytes counts the packed rows; add the header and each block's fixed
+  // fields and row-nnz run.
+  std::size_t size = static_cast<std::size_t>(msg.WireBytes()) + 1 + 7 * 8;
+  for (const PartitionBlock& block : msg.partition.blocks) {
+    size += kMinBlockWireBytes + block.row_nnz.size() * 4;
+  }
+  writer->Reserve(size);
   EncodeMode(msg.mode, writer);
   writer->WriteI64(msg.index);
   writer->WriteI64(msg.shape.rows);
@@ -333,9 +341,10 @@ void EncodeStorePartitionRequest(const StorePartitionRequest& msg,
     writer->WriteU8(static_cast<std::uint8_t>(block.type));
     EncodeBitMatrix(block.rows, writer);
     writer->WriteU64(block.row_nnz.size());
-    for (const std::int32_t nnz : block.row_nnz) {
-      writer->WriteU32(static_cast<std::uint32_t>(nnz));
-    }
+    // Two's complement: an int32 run has the bytes of the same u32 run.
+    writer->WriteU32s(
+        reinterpret_cast<const std::uint32_t*>(block.row_nnz.data()),
+        block.row_nnz.size());
   }
 }
 
@@ -355,8 +364,10 @@ Result<StorePartitionRequest> DecodeStorePartitionRequest(ByteReader* reader) {
   }
   DBTF_ASSIGN_OR_RETURN(const std::uint64_t block_count, reader->ReadU64());
   // Each block carries at least its fixed-size fields; bound the count by
-  // the remaining buffer before reserving anything.
-  if (block_count * (5 * 8 + 1 + 2 * 8 + 8) > reader->remaining()) {
+  // the remaining buffer before reserving anything. Division, not
+  // multiplication: block_count * kMinBlockWireBytes wraps u64 on hostile
+  // counts (the input is pinned under fuzz/crashes/).
+  if (block_count > reader->remaining() / kMinBlockWireBytes) {
     return Corrupt("partition block count truncated");
   }
   msg.partition.blocks.reserve(static_cast<std::size_t>(block_count));
@@ -374,15 +385,13 @@ Result<StorePartitionRequest> DecodeStorePartitionRequest(ByteReader* reader) {
     block.type = static_cast<BlockType>(type);
     DBTF_ASSIGN_OR_RETURN(block.rows, DecodeBitMatrix(reader));
     DBTF_ASSIGN_OR_RETURN(const std::uint64_t nnz_count, reader->ReadU64());
-    if (nnz_count * 4 > reader->remaining()) {
+    if (nnz_count > reader->remaining() / 4) {
       return Corrupt("row-nnz vector truncated");
     }
     block.row_nnz.resize(static_cast<std::size_t>(nnz_count), 0);
-    for (std::uint64_t n = 0; n < nnz_count; ++n) {
-      DBTF_ASSIGN_OR_RETURN(const std::uint32_t nnz, reader->ReadU32());
-      block.row_nnz[static_cast<std::size_t>(n)] =
-          static_cast<std::int32_t>(nnz);
-    }
+    DBTF_RETURN_IF_ERROR(reader->ReadU32s(
+        reinterpret_cast<std::uint32_t*>(block.row_nnz.data()),
+        block.row_nnz.size()));
     msg.partition.blocks.push_back(std::move(block));
   }
   return msg;
@@ -453,7 +462,7 @@ void EncodeQueryResponse(const QueryResponse& msg, ByteWriter* writer) {
   EncodeInt64Vector(msg.concept_ids, writer);
   EncodeInt64Vector(msg.concept_scores, writer);
   writer->WriteU64(msg.generations.size());
-  for (const std::uint64_t g : msg.generations) writer->WriteU64(g);
+  writer->WriteU64s(msg.generations.data(), msg.generations.size());
 }
 
 Result<QueryResponse> DecodeQueryResponse(ByteReader* reader) {
@@ -481,10 +490,8 @@ Result<QueryResponse> DecodeQueryResponse(ByteReader* reader) {
     return Corrupt("generation vector out of range");
   }
   msg.generations.assign(static_cast<std::size_t>(gen_count), 0);
-  for (std::uint64_t g = 0; g < gen_count; ++g) {
-    DBTF_ASSIGN_OR_RETURN(msg.generations[static_cast<std::size_t>(g)],
-                          reader->ReadU64());
-  }
+  DBTF_RETURN_IF_ERROR(
+      reader->ReadU64s(msg.generations.data(), msg.generations.size()));
   return msg;
 }
 
@@ -519,16 +526,23 @@ Result<WireReply> DecodeReply(ByteReader* reader) {
   return reply;
 }
 
+std::array<std::uint8_t, kFrameHeaderBytes> EncodeFrameHeader(
+    WireKind kind, std::uint64_t payload_bytes) {
+  std::array<std::uint8_t, kFrameHeaderBytes> header{};
+  std::memcpy(header.data(), &kWireMagic, 4);
+  header[4] = kWireVersion;
+  header[5] = static_cast<std::uint8_t>(kind);
+  std::memcpy(header.data() + 6, &payload_bytes, 8);
+  return header;
+}
+
 std::vector<std::uint8_t> EncodeFrame(WireKind kind,
                                       const ByteWriter& payload) {
   ByteWriter frame;
-  frame.WriteU32(kWireMagic);
-  frame.WriteU8(kWireVersion);
-  frame.WriteU8(static_cast<std::uint8_t>(kind));
-  frame.WriteU64(payload.size());
-  if (payload.size() > 0) {
-    frame.WriteBytes(payload.bytes().data(), payload.size());
-  }
+  frame.Reserve(kFrameHeaderBytes + payload.size() + kFrameCrcBytes);
+  const auto header = EncodeFrameHeader(kind, payload.size());
+  frame.WriteBytes(header.data(), header.size());
+  frame.WriteBytes(payload.bytes().data(), payload.size());
   frame.WriteU32(payload.Crc());
   return frame.bytes();
 }

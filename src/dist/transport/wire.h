@@ -1,6 +1,7 @@
 #ifndef DBTF_DIST_TRANSPORT_WIRE_H_
 #define DBTF_DIST_TRANSPORT_WIRE_H_
 
+#include <array>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -93,7 +94,12 @@ constexpr std::uint8_t kWireVersion = 2;
 constexpr std::size_t kFrameHeaderBytes = 4 + 1 + 1 + 8;
 constexpr std::size_t kFrameCrcBytes = 4;
 
-/// One whole frame as a byte buffer (header + payload + CRC).
+/// The header that opens a frame of `kind` carrying `payload_bytes`.
+std::array<std::uint8_t, kFrameHeaderBytes> EncodeFrameHeader(
+    WireKind kind, std::uint64_t payload_bytes);
+
+/// One whole frame as a byte buffer (header + payload + CRC). The socket
+/// path sends the three parts with one vectored write instead.
 std::vector<std::uint8_t> EncodeFrame(WireKind kind,
                                       const ByteWriter& payload);
 

@@ -424,14 +424,9 @@ TEST(Reprovision, RebuildsLostPartitionsOntoSurvivors) {
   const UnfoldShape shape = unfolding->shape();
   const std::int64_t num_partitions = unfolding->num_partitions();
   ASSERT_GT(num_partitions, 1);
-  {
-    std::vector<Partition> parts = std::move(*unfolding).ReleasePartitions();
-    for (std::int64_t i = 0; i < num_partitions; ++i) {
-      ASSERT_TRUE(StorePartition(**cluster, Mode::kOne, i, std::move(parts[i]),
-                                 shape)
-                      .ok());
-    }
-  }
+  ASSERT_TRUE(StorePartitions(**cluster, Mode::kOne,
+                              std::move(*unfolding).ReleasePartitions(), shape)
+                  .ok());
   const CommSnapshot before = (*cluster)->comm().Snapshot();
 
   // Machine 1 — round-robin owner of the odd partitions — crashes on its

@@ -1,8 +1,15 @@
 #include "common/serde.h"
 
+#include <pthread.h>
+#include <signal.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -11,6 +18,7 @@
 #include "common/status.h"
 #include "dbtf/partition.h"
 #include "dist/messages.h"
+#include "dist/transport/socket.h"
 #include "dist/transport/wire.h"
 #include "tensor/bit_matrix.h"
 #include "test_util.h"
@@ -417,6 +425,403 @@ TEST(WireCodec, PaddingBitViolationRejected) {
   ByteReader reader(bytes);
   auto decoded = DecodeFactorDelta(&reader);
   EXPECT_FALSE(decoded.ok());
+}
+
+
+// --- Byte-stability goldens -------------------------------------------------
+//
+// Recorded with the byte-at-a-time codecs (one push_back or shift per byte,
+// bytewise table CRC) before the word-run rewrite. The wire and checkpoint
+// formats promise bytes that do not depend on how they are produced, so
+// these digests must never move without a kWireVersion / kFormatVersion
+// bump.
+
+std::uint64_t SplitMix64(std::uint64_t* state) {
+  std::uint64_t z = (*state += 0x9E3779B97F4A7C15ull);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
+
+std::vector<std::uint8_t> SplitMixBytes(std::size_t size, std::uint64_t seed) {
+  std::vector<std::uint8_t> bytes(size);
+  std::uint64_t state = seed;
+  for (std::size_t i = 0; i < size; i += 8) {
+    const std::uint64_t word = SplitMix64(&state);
+    for (std::size_t b = 0; b < 8 && i + b < size; ++b) {
+      bytes[i + b] = static_cast<std::uint8_t>(word >> (8 * b));
+    }
+  }
+  return bytes;
+}
+
+/// Bit-at-a-time CRC-32/IEEE: the definition the table-driven Crc32 must
+/// reproduce.
+std::uint32_t ReferenceCrc32(const std::uint8_t* data, std::size_t size) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1u) != 0 ? (crc >> 1) ^ 0xEDB88320u : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  const std::vector<std::uint8_t> bytes = SplitMixBytes(256 + 8, 17);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 256; ++length) {
+      ASSERT_EQ(Crc32(bytes.data() + offset, length),
+                ReferenceCrc32(bytes.data() + offset, length))
+          << "offset " << offset << ", length " << length;
+    }
+  }
+}
+
+TEST(Crc32Test, GoldenOneMebibyte) {
+  // Checkpoint blobs and frames written before the slice-by-8 rewrite carry
+  // CRCs computed bytewise; they must still verify.
+  const std::vector<std::uint8_t> bytes =
+      SplitMixBytes(std::size_t{1} << 20, 1);
+  EXPECT_EQ(Crc32(bytes.data(), bytes.size()), 0x0F206EBAu);
+}
+
+/// FNV-1a of one encoding: a compact pin of every byte.
+template <typename T, typename Encode>
+std::uint64_t EncodedDigest(const T& msg, const Encode& encode) {
+  ByteWriter writer;
+  encode(msg, &writer);
+  return Fnv1a64(writer.bytes().data(), writer.size());
+}
+
+/// A hand-built three-block partition: 5 rows (an odd u32 row-nnz run), and
+/// block widths 100, 36 and 64 — the first two end on a ragged last word.
+StorePartitionRequest GoldenStoreRequest() {
+  StorePartitionRequest msg;
+  msg.mode = Mode::kTwo;
+  msg.index = 3;
+  msg.shape = UnfoldShape{5, 4, 100};
+  msg.partition.col_begin = 100;
+  msg.partition.col_end = 300;
+  const struct {
+    std::int64_t block, begin, end;
+    BlockType type;
+  } kBlocks[] = {{1, 0, 100, BlockType::kFullPvm},
+                 {2, 64, 100, BlockType::kSuffix},
+                 {3, 0, 64, BlockType::kPrefix}};
+  std::uint64_t seed = 5;
+  for (const auto& spec : kBlocks) {
+    PartitionBlock block;
+    block.block_index = spec.block;
+    block.within_begin = spec.begin;
+    block.within_end = spec.end;
+    block.word_begin = spec.begin / 64;
+    const std::int64_t width = spec.end - spec.begin;
+    block.last_word_mask =
+        width % 64 == 0 ? ~0ull : (std::uint64_t{1} << (width % 64)) - 1;
+    block.type = spec.type;
+    block.rows = TestMatrix(5, width, seed++);
+    for (std::int64_t r = 0; r < block.rows.rows(); ++r) {
+      block.row_nnz.push_back(static_cast<std::int32_t>(block.rows.RowNnz(r)));
+    }
+    msg.partition.blocks.push_back(std::move(block));
+  }
+  return msg;
+}
+
+FactorDelta GoldenFullDelta() {
+  FactorDelta msg;
+  msg.mode = Mode::kThree;
+  msg.rows = 40;
+  msg.mf_slot = 0;
+  msg.ms_slot = 1;
+  msg.cache_group_size = 15;
+  msg.enable_caching = true;
+  for (int slot = 0; slot < 2; ++slot) {
+    MatrixDelta d;
+    d.slot = slot;
+    d.generation = 100 + static_cast<std::uint64_t>(slot);
+    d.full = true;
+    d.dense = TestMatrix(slot == 0 ? 33 : 70, slot == 0 ? 9 : 64,
+                         static_cast<std::uint64_t>(21 + slot));
+    d.rows = d.dense.rows();
+    d.cols = d.dense.cols();
+    msg.updates.push_back(std::move(d));
+  }
+  return msg;
+}
+
+FactorDelta GoldenColumnDelta() {
+  FactorDelta msg;
+  msg.mode = Mode::kOne;
+  msg.rows = 130;
+  msg.mf_slot = 1;
+  msg.ms_slot = 2;
+  msg.cache_group_size = 8;
+  msg.apply_only = true;
+  MatrixDelta d;
+  d.slot = 2;
+  d.generation = 77;
+  d.base_generation = 76;
+  d.full = false;
+  d.rows = 130;  // three words per column, the last one ragged
+  d.cols = 12;
+  d.columns = {0, 5, 11};
+  std::uint64_t state = 9;
+  for (std::size_t i = 0; i < d.columns.size(); ++i) {
+    std::vector<BitWord> bits;
+    for (int w = 0; w < 3; ++w) bits.push_back(SplitMix64(&state));
+    bits[2] &= 0x3ull;  // 130 rows: two live bits in the last word
+    d.column_bits.push_back(std::move(bits));
+  }
+  msg.updates.push_back(std::move(d));
+  return msg;
+}
+
+RunUpdateColumn GoldenRunUpdateColumn() {
+  RunUpdateColumn msg;
+  msg.mode = Mode::kTwo;
+  msg.column = 13;
+  msg.rows = 11;
+  std::uint64_t state = 31;
+  for (std::int64_t r = 0; r < msg.rows; ++r) {
+    msg.row_masks.push_back(SplitMix64(&state));
+  }
+  return msg;
+}
+
+CollectErrorsResponse GoldenCollectResponse() {
+  CollectErrorsResponse msg;
+  for (std::int64_t r = 0; r < 9; ++r) {
+    msg.totals0.push_back(r * 1000003 - 7);
+    msg.totals1.push_back(-r * 65537 + (std::int64_t{1} << 40));
+  }
+  msg.wire_bytes = 8 * 9 * 2;
+  msg.cache_entries = 4096;
+  msg.cache_bytes = 1 << 20;
+  return msg;
+}
+
+QueryRequest GoldenQueryRequest() {
+  QueryRequest msg;
+  msg.kind = QueryKind::kTopConcepts;
+  msg.id = 0xABCDEF;
+  msg.mode = Mode::kTwo;
+  msg.i = 3;
+  msg.j = 1;
+  msg.k = 4;
+  msg.top_r = 5;
+  msg.slice_len = 150;  // three words, the last one ragged
+  std::uint64_t state = 41;
+  for (int w = 0; w < 3; ++w) msg.slice_bits.push_back(SplitMix64(&state));
+  msg.slice_bits[2] &= (std::uint64_t{1} << 22) - 1;
+  return msg;
+}
+
+QueryResponse GoldenQueryResponse() {
+  QueryResponse msg;
+  msg.id = 0xABCDEF;
+  msg.member = true;
+  msg.explain_mask = 0x8000000000000011ull;
+  msg.fiber_len = 70;
+  msg.fiber_bits = {0x0123456789ABCDEFull, 0x3Full};
+  msg.concept_ids = {7, 2, 63};
+  msg.concept_scores = {120, 64, -1};
+  msg.generations = {11, 12, 13};
+  return msg;
+}
+
+TEST(WireGolden, EncodingsAreByteStable) {
+  EXPECT_EQ(EncodedDigest(GoldenStoreRequest(), EncodeStorePartitionRequest),
+            0xeca2e049e8708018ull);
+  EXPECT_EQ(EncodedDigest(GoldenFullDelta(), EncodeFactorDelta),
+            0xa520bae150eca797ull);
+  EXPECT_EQ(EncodedDigest(GoldenColumnDelta(), EncodeFactorDelta),
+            0x2ed1c2949ebfb1a1ull);
+  EXPECT_EQ(EncodedDigest(GoldenRunUpdateColumn(), EncodeRunUpdateColumn),
+            0x3956aa3db7f9a08dull);
+  EXPECT_EQ(
+      EncodedDigest(GoldenCollectResponse(), EncodeCollectErrorsResponse),
+      0x221f83608790b070ull);
+  EXPECT_EQ(EncodedDigest(GoldenQueryRequest(), EncodeQueryRequest),
+            0x30044798aaccee90ull);
+  EXPECT_EQ(EncodedDigest(GoldenQueryResponse(), EncodeQueryResponse),
+            0x93617f922b3c76d2ull);
+}
+
+TEST(WireGolden, WholeFrameIsByteStable) {
+  ByteWriter payload;
+  EncodeStorePartitionRequest(GoldenStoreRequest(), &payload);
+  const std::vector<std::uint8_t> frame =
+      EncodeFrame(WireKind::kStorePartition, payload);
+  EXPECT_EQ(frame.size(), 490u);
+  EXPECT_EQ(Fnv1a64(frame.data(), frame.size()), 0x4d88e673d5261e37ull);
+}
+
+TEST(WireGolden, GoldenMessagesRoundTrip) {
+  ExpectWireRoundTrip(GoldenStoreRequest(), EncodeStorePartitionRequest,
+                      DecodeStorePartitionRequest);
+  ExpectWireRoundTrip(GoldenFullDelta(), EncodeFactorDelta, DecodeFactorDelta);
+  ExpectWireRoundTrip(GoldenColumnDelta(), EncodeFactorDelta,
+                      DecodeFactorDelta);
+  ExpectWireRoundTrip(GoldenRunUpdateColumn(), EncodeRunUpdateColumn,
+                      DecodeRunUpdateColumn);
+  ExpectWireRoundTrip(GoldenCollectResponse(), EncodeCollectErrorsResponse,
+                      DecodeCollectErrorsResponse);
+  ExpectWireRoundTrip(GoldenQueryRequest(), EncodeQueryRequest,
+                      DecodeQueryRequest);
+  ExpectWireRoundTrip(GoldenQueryResponse(), EncodeQueryResponse,
+                      DecodeQueryResponse);
+}
+
+
+/// Flips bit `bit` of the second word of `row` in the golden request's
+/// first block (width 100: bits 36..63 of that word are padding).
+std::vector<std::uint8_t> GoldenStoreWithBitSet(std::int64_t row, int bit) {
+  ByteWriter writer;
+  EncodeStorePartitionRequest(GoldenStoreRequest(), &writer);
+  std::vector<std::uint8_t> bytes = writer.bytes();
+  // mode + six i64 header fields + block count, then the block's four i64
+  // bounds, last-word mask and type byte, then the matrix's i64 shape.
+  const std::size_t words_start = (1 + 6 * 8 + 8) + (4 * 8 + 8 + 1) + 2 * 8;
+  const std::size_t word =
+      words_start + static_cast<std::size_t>(row * 2 + 1) * 8;
+  bytes[word + static_cast<std::size_t>(bit / 8)] ^=
+      static_cast<std::uint8_t>(1u << (bit % 8));
+  return bytes;
+}
+
+TEST(WireGolden, PartitionPaddingBitRejectedInEveryRow) {
+  for (const std::int64_t row : {std::int64_t{2}, std::int64_t{4}}) {
+    // Column 64 is data: flipping it still decodes, which proves the offset
+    // lands in this row's second word.
+    const std::vector<std::uint8_t> data_flip = GoldenStoreWithBitSet(row, 0);
+    ByteReader data_reader(data_flip);
+    auto decoded = DecodeStorePartitionRequest(&data_reader);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_NE(decoded->partition.blocks[0].rows.Get(row, 64),
+              GoldenStoreRequest().partition.blocks[0].rows.Get(row, 64));
+
+    const std::vector<std::uint8_t> pad_flip = GoldenStoreWithBitSet(row, 63);
+    ByteReader pad_reader(pad_flip);
+    EXPECT_EQ(DecodeStorePartitionRequest(&pad_reader).status().code(),
+              StatusCode::kIoError)
+        << "padding bit of row " << row << " accepted";
+  }
+}
+
+/// StorePartitionRequest header with valid fields up to the block count.
+ByteWriter StoreHeaderWithBlockCount(std::uint64_t block_count) {
+  ByteWriter w;
+  w.WriteU8(static_cast<std::uint8_t>(Mode::kOne));
+  for (int field = 0; field < 6; ++field) w.WriteI64(0);
+  w.WriteU64(block_count);
+  return w;
+}
+
+TEST(WireCodec, HostileBlockCountCannotWrapTheBound) {
+  // block_count * 65 wraps to 49 for this count; 49 bytes follow, so a
+  // bound written as a product passes and reserve() throws.
+  ByteWriter w = StoreHeaderWithBlockCount(~std::uint64_t{0} / 65 + 1);
+  for (int i = 0; i < 49; ++i) w.WriteU8(0);
+  ByteReader reader(w.bytes());
+  EXPECT_EQ(DecodeStorePartitionRequest(&reader).status().code(),
+            StatusCode::kIoError);
+}
+
+TEST(WireCodec, HostileRowNnzCountCannotWrapTheBound) {
+  // One empty block whose row-nnz count times 4 wraps to zero.
+  ByteWriter w = StoreHeaderWithBlockCount(1);
+  for (int field = 0; field < 5; ++field) w.WriteU64(0);  // bounds + mask
+  w.WriteU8(0);                                            // type
+  w.WriteI64(0);                                           // matrix rows
+  w.WriteI64(0);                                           // matrix cols
+  w.WriteU64(std::uint64_t{1} << 62);                      // row-nnz count
+  w.WriteU64(0);
+  ByteReader reader(w.bytes());
+  EXPECT_EQ(DecodeStorePartitionRequest(&reader).status().code(),
+            StatusCode::kIoError);
+}
+
+TEST(SerdeTest, BulkRunsMatchSingleWrites) {
+  const std::uint64_t words[3] = {0x0102030405060708ull, 0, ~0ull};
+  const std::uint32_t halves[3] = {0x01020304u, 7, ~0u};
+  ByteWriter single;
+  ByteWriter bulk;
+  for (const std::uint64_t w : words) single.WriteU64(w);
+  for (const std::uint32_t h : halves) single.WriteU32(h);
+  bulk.WriteU64s(words, 3);
+  bulk.WriteU32s(halves, 3);
+  bulk.WriteU64s(nullptr, 0);
+  EXPECT_EQ(single.bytes(), bulk.bytes());
+
+  ByteReader reader(bulk.bytes());
+  std::uint64_t words_out[5] = {};
+  std::uint32_t halves_out[3] = {};
+  ASSERT_TRUE(reader.ReadU64s(words_out, 3).ok());
+  ASSERT_TRUE(reader.ReadU32s(halves_out, 3).ok());
+  EXPECT_TRUE(reader.ReadU64s(nullptr, 0).ok());
+  EXPECT_TRUE(reader.ExpectEnd().ok());
+  EXPECT_EQ(words_out[2], ~0ull);
+  EXPECT_EQ(halves_out[0], 0x01020304u);
+
+  // A run longer than the 36-byte buffer fails without reading, even when
+  // the count times the element size would wrap.
+  ByteReader short_reader(bulk.bytes());
+  EXPECT_EQ(short_reader.ReadU64s(words_out, 5).code(), StatusCode::kIoError);
+  EXPECT_EQ(short_reader.ReadU64s(words_out, ~std::size_t{0} / 8 + 1).code(),
+            StatusCode::kIoError);
+  EXPECT_EQ(short_reader.offset(), 0u);
+}
+
+TEST(WireFrameTest, SocketWriteSendsTheEncodedFrameAcrossInterrupts) {
+  // A signal that interrupts a blocked send after some bytes went out makes
+  // sendmsg return a short count, and one that lands before any byte makes
+  // it fail with EINTR. The reader signals the writer before every chunk it
+  // drains, so WriteFrameTo has to resume mid-part many times over.
+  struct sigaction action {};
+  action.sa_handler = [](int) {};
+  sigemptyset(&action.sa_mask);
+  action.sa_flags = 0;  // no SA_RESTART: the send must see the signal
+  struct sigaction previous {};
+  ASSERT_EQ(::sigaction(SIGUSR1, &action, &previous), 0);
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const std::vector<std::uint8_t> body = SplitMixBytes(4 << 20, 5);
+  ByteWriter payload;
+  payload.WriteBytes(body.data(), body.size());
+  const std::vector<std::uint8_t> expected =
+      EncodeFrame(WireKind::kStorePartition, payload);
+
+  const pthread_t writer = ::pthread_self();
+  std::vector<std::uint8_t> received;
+  std::thread reader([&] {
+    std::vector<std::uint8_t> chunk(64 << 10);
+    while (received.size() < expected.size()) {
+      ::pthread_kill(writer, SIGUSR1);
+      std::this_thread::sleep_for(std::chrono::microseconds(500));
+      const ssize_t n = ::recv(fds[1], chunk.data(), chunk.size(), 0);
+      if (n <= 0) break;
+      received.insert(received.end(), chunk.begin(), chunk.begin() + n);
+    }
+  });
+  const Status written =
+      WriteFrameTo(fds[0], WireKind::kStorePartition, payload);
+  reader.join();
+  ::sigaction(SIGUSR1, &previous, nullptr);
+  ASSERT_TRUE(written.ok()) << written.ToString();
+  EXPECT_EQ(received, expected);
+
+  // An empty payload still sends header and CRC.
+  ByteWriter empty;
+  ASSERT_TRUE(WriteFrameTo(fds[0], WireKind::kShutdown, empty).ok());
+  auto frame = ReadFrameFrom(fds[1]);
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  EXPECT_EQ(frame->frame.kind, WireKind::kShutdown);
+  EXPECT_TRUE(frame->frame.payload.empty());
+  ::close(fds[0]);
+  ::close(fds[1]);
 }
 
 }  // namespace

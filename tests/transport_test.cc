@@ -133,22 +133,22 @@ TEST(SocketTransport, SpawnsOneProcessPerMachineAndStoresPartitions) {
   const UnfoldShape shape = unfolding->shape();
   std::vector<Partition> parts = std::move(*unfolding).ReleasePartitions();
   const std::int64_t n = static_cast<std::int64_t>(parts.size());
-  for (std::int64_t i = 0; i < n; ++i) {
-    ASSERT_TRUE(StorePartition(**cluster, Mode::kOne, i,
-                               std::move(parts[static_cast<std::size_t>(i)]),
-                               shape)
-                    .ok());
-  }
-  std::int64_t seen = 0;
+  ASSERT_TRUE(
+      StorePartitions(**cluster, Mode::kOne, std::move(parts), shape).ok());
+  // Both machines' stores overlap; each partition must still land on its
+  // owner, exactly once.
+  std::vector<int> stored(static_cast<std::size_t>(n), 0);
   for (int m = 0; m < 2; ++m) {
     auto local = (*cluster)->EndpointOn(m)->ListPartitions(Mode::kOne, nullptr);
     ASSERT_TRUE(local.ok()) << local.status().ToString();
     for (const std::int64_t index : *local) {
+      ASSERT_GE(index, 0);
+      ASSERT_LT(index, n);
       EXPECT_EQ((*cluster)->OwnerOf(index), m);
-      ++seen;
+      ++stored[static_cast<std::size_t>(index)];
     }
   }
-  EXPECT_EQ(seen, n);
+  EXPECT_EQ(stored, std::vector<int>(static_cast<std::size_t>(n), 1));
   (*cluster)->DetachWorkers();
 }
 

@@ -76,9 +76,34 @@ TEST(WorkerLifetimeTest, StorePartitionRequiresAnEndpoint) {
   config.num_machines = 2;
   auto cluster_or = Cluster::Create(config);
   ASSERT_TRUE(cluster_or.ok());
-  const Status status = StorePartition(*cluster_or.value(), Mode::kOne, 0,
-                                       Partition{}, UnfoldShape{0, 0, 0});
+  const Status status =
+      StorePartitions(*cluster_or.value(), Mode::kOne,
+                      std::vector<Partition>(1), UnfoldShape{0, 0, 0});
   EXPECT_FALSE(status.ok());
+}
+
+
+TEST(WorkerLifetimeTest, StorePartitionsReportsTheLowestFailingIndex) {
+  ClusterConfig config;
+  config.num_machines = 2;
+  auto cluster_or = Cluster::Create(config);
+  ASSERT_TRUE(cluster_or.ok());
+  Cluster& cluster = *cluster_or.value();
+  ASSERT_TRUE(ProvisionWorkers(cluster).ok());
+  // Machine 1 loses its endpoint: its partitions (odd indexes under
+  // round-robin) fail, machine 0's are still stored.
+  cluster.RestoreDeadMachine(1);
+  std::vector<Partition> parts(4);
+  for (std::size_t p = 0; p < parts.size(); ++p) {
+    parts[p].col_begin = static_cast<std::int64_t>(p);
+    parts[p].col_end = static_cast<std::int64_t>(p) + 1;
+  }
+  const Status status = StorePartitions(cluster, Mode::kOne, std::move(parts),
+                                        UnfoldShape{1, 1, 4});
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+  auto local = cluster.EndpointOn(0)->ListPartitions(Mode::kOne, nullptr);
+  ASSERT_TRUE(local.ok());
+  EXPECT_EQ(*local, (std::vector<std::int64_t>{0, 2}));
 }
 
 }  // namespace

@@ -46,6 +46,13 @@ checks whole-program properties (see DESIGN.md, "Correctness tooling"):
                       every backend (portable/AVX2/AVX-512) stays
                       bit-for-bit identical and the portable oracle remains
                       the single semantic definition.
+  wrap-bound          a comparison whose one side calls `remaining()` (the
+                      ByteReader bound on untrusted input) and whose other
+                      side multiplies is an error: a hostile count makes the
+                      product wrap u64 and pass the bound, and the allocation
+                      sized by the count then throws or overruns. The bound
+                      must be phrased as a division, `count > remaining() /
+                      size`. Applies to src/.
 
 Backends:
   internal   a built-in C++ lexer + structural parser; no dependencies
@@ -77,7 +84,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 RULES = ("discarded-status", "lock-order", "ckpt-coverage", "wire-coverage",
-         "guarded-by", "kernel-confinement")
+         "guarded-by", "kernel-confinement", "wrap-bound")
 
 # ---------------------------------------------------------------------------
 # Lexer
@@ -1269,6 +1276,126 @@ def check_kernel_confinement(files: list[SourceFile]) -> list[Finding]:
 
 
 # ---------------------------------------------------------------------------
+# Rule 6: wrap-bound
+# ---------------------------------------------------------------------------
+
+# Tokens that end the clause a bound comparison lives in.
+_CLAUSE_BREAKS = {";", "{", "}", "&&", "||", ",", "?", ":"}
+_COMPARISONS = {"<", ">", "<=", ">="}
+
+
+def _clause_bounds(tokens: list[Token], at: int) -> tuple[int, int]:
+    """Inclusive token range of the clause around index `at`: stops at an
+    unbalanced parenthesis or a clause break at the clause's own depth."""
+    depth = 0
+    lo = at
+    while lo > 0:
+        t = tokens[lo - 1]
+        if t.kind == "punct":
+            if t.text == ")":
+                depth += 1
+            elif t.text == "(":
+                if depth == 0:
+                    break
+                depth -= 1
+            elif depth == 0 and t.text in _CLAUSE_BREAKS:
+                break
+        elif depth == 0 and t.kind == "id" and t.text == "return":
+            break
+        lo -= 1
+    depth = 0
+    hi = at
+    while hi + 1 < len(tokens):
+        t = tokens[hi + 1]
+        if t.kind == "punct":
+            if t.text == "(":
+                depth += 1
+            elif t.text == ")":
+                if depth == 0:
+                    break
+                depth -= 1
+            elif depth == 0 and t.text in _CLAUSE_BREAKS:
+                break
+        hi += 1
+    return lo, hi
+
+
+def _has_product(tokens: list[Token], lo: int, hi: int) -> bool:
+    """True when tokens[lo..hi] hold a binary '*' (a value on its left, not
+    a pointer declarator closing a template argument)."""
+    for i in range(max(lo, 1), hi + 1):
+        t = tokens[i]
+        if t.kind != "punct" or t.text not in ("*", "*="):
+            continue
+        before = tokens[i - 1]
+        after = tokens[i + 1] if i + 1 < len(tokens) else None
+        if not (before.kind in ("id", "num")
+                or (before.kind == "punct" and before.text in (")", "]"))):
+            continue
+        if after is not None and after.kind == "punct" \
+                and after.text in (">", ")", ","):
+            continue
+        return True
+    return False
+
+
+def _scan_wrap_bound(sf: SourceFile) -> list[Finding]:
+    toks = sf.tokens
+    findings: list[Finding] = []
+    for i, t in enumerate(toks):
+        if not (t.kind == "id" and t.text == "remaining"
+                and i + 2 < len(toks) and toks[i + 1].text == "("
+                and toks[i + 2].text == ")"):
+            continue
+        lo, hi = _clause_bounds(toks, i)
+        # The comparison nearest to the call, at the clause's own depth:
+        # scan left first (the usual `count * size > remaining()` shape),
+        # then right.
+        other = None
+        depth = 0
+        for j in range(i - 1, lo - 1, -1):
+            tk = toks[j]
+            if tk.kind == "punct" and tk.text == ")":
+                depth += 1
+            elif tk.kind == "punct" and tk.text == "(":
+                depth -= 1
+            elif depth == 0 and tk.kind == "punct" \
+                    and tk.text in _COMPARISONS:
+                other = (lo, j - 1)
+                break
+        if other is None:
+            depth = 0
+            for j in range(i + 3, hi + 1):
+                tk = toks[j]
+                if tk.kind == "punct" and tk.text == "(":
+                    depth += 1
+                elif tk.kind == "punct" and tk.text == ")":
+                    depth -= 1
+                elif depth == 0 and tk.kind == "punct" \
+                        and tk.text in _COMPARISONS:
+                    other = (j + 1, hi)
+                    break
+        if other is None or not _has_product(toks, *other):
+            continue
+        if sf.suppressed(t.line, "wrap-bound"):
+            continue
+        findings.append(Finding(
+            sf.rel, t.line, "wrap-bound",
+            "bound compares a product against remaining(): a hostile count "
+            "wraps the product past the check — phrase it as a division, "
+            "`count > remaining() / size`"))
+    return findings
+
+
+def check_wrap_bound(files: list[SourceFile]) -> list[Finding]:
+    findings: list[Finding] = []
+    for sf in files:
+        if sf.rel.startswith("src/"):
+            findings.extend(_scan_wrap_bound(sf))
+    return findings
+
+
+# ---------------------------------------------------------------------------
 # libclang backend (optional; replaces the internal discarded-status pass)
 # ---------------------------------------------------------------------------
 
@@ -1396,6 +1523,8 @@ def analyze(root: Path, rules: list[str], backend: str) -> list[Finding]:
         findings.extend(check_guarded_by(files))
     if "kernel-confinement" in rules:
         findings.extend(check_kernel_confinement(files))
+    if "wrap-bound" in rules:
+        findings.extend(check_wrap_bound(files))
     return findings
 
 

@@ -138,6 +138,29 @@ class FixtureTest(unittest.TestCase):
         self.assertIn("raw word loop over BitWord", messages)
         self.assertNotIn("SumWords", messages)
 
+    def test_wrap_bound_fixture_trips(self):
+        findings = run("wrap_bound")
+        self.assertEqual(rules_in(findings), {"wrap-bound"})
+        # Product left of the bound, product right of it, product behind a
+        # cast; the analyze-ignore'd bound on line 22 stays silent.
+        self.assertEqual(sorted(f.line for f in findings), [12, 16, 19])
+        self.assertIn("division", findings[0].message)
+
+    def test_wrap_bound_accepts_division_bounds(self):
+        # The clean fixture's bounds.cc phrases every bound as a division
+        # and multiplies next to remaining() only outside comparisons.
+        rel = "src/common/bounds.cc"
+        sf = dbtf_analyze.SourceFile(rel, (FIXTURES / "clean" / rel)
+                                     .read_text())
+        self.assertEqual(dbtf_analyze._scan_wrap_bound(sf), [])
+        # The same file with one bound turned back into a product trips.
+        wrapped = sf.text.replace("count > reader->remaining() / 65",
+                                  "count * 65 > reader->remaining()")
+        self.assertNotEqual(wrapped, sf.text)
+        hits = dbtf_analyze._scan_wrap_bound(
+            dbtf_analyze.SourceFile(rel, wrapped))
+        self.assertEqual([f.line for f in hits], [9])
+
     def test_kernel_confinement_exempts_the_kernel_layer(self):
         # The clean fixture carries a kernels/portable.cc replica full of
         # banned idioms; the path exemption is what keeps it green.
@@ -212,6 +235,14 @@ class RepoTest(unittest.TestCase):
         ids = dbtf_analyze._bitword_identifiers(
             by_rel["src/common/kernels/portable.cc"].tokens)
         self.assertLessEqual({"w", "x", "y", "d", "mask"}, ids)
+
+        # wrap-bound must see the wire decoders' bounds: the tree is clean
+        # because they divide, not because the scan finds no remaining().
+        wire = by_rel["src/dist/transport/wire.cc"]
+        calls = sum(1 for i, t in enumerate(wire.tokens)
+                    if t.text == "remaining"
+                    and wire.tokens[i + 1].text == "(")
+        self.assertGreater(calls, 8)
 
     def test_cli_exit_codes(self):
         self.assertEqual(dbtf_analyze.main(
