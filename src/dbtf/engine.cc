@@ -204,10 +204,9 @@ Result<UpdateFactorStats> RunFactorUpdate(
   const FactorDelta broadcast =
       bstate->Plan(roles, mode, rows, mf, ms, config);
   const auto send_broadcast = [cluster, &broadcast]() {
-    // The routing layer copies the message into the fan-out and charges
-    // broadcast.WireBytes() per machine at enqueue; re-sends of a committed
-    // plan are idempotent at the workers (generation match), so recovery
-    // can re-invoke this closure freely.
+    // The routing layer charges broadcast.WireBytes() per machine before
+    // delivering it; re-sends of a committed plan are idempotent at the
+    // workers (generation match), so recovery can re-invoke this freely.
     return cluster->BroadcastFactors(broadcast);
   };
 
@@ -253,7 +252,7 @@ Result<UpdateFactorStats> RunFactorUpdate(
                                               : UpdateFactorStats{};
 
   // Snapshot of the factor's row masks; the workers see it through each
-  // column's task closure, updated with the driver's previous decisions.
+  // column's dispatch message, updated with the driver's previous decisions.
   std::vector<std::uint64_t> row_masks(static_cast<std::size_t>(rows));
   for (std::int64_t r = 0; r < rows; ++r) {
     row_masks[static_cast<std::size_t>(r)] = factor->RowMask64(r);
@@ -288,7 +287,7 @@ Result<UpdateFactorStats> RunFactorUpdate(
       // The fused primitive takes one registry snapshot for both halves, so
       // a machine crashing mid-column yields the same ledger no matter how
       // threads (or the transport) interleave with the crash.
-      DBTF_RETURN_IF_ERROR(cluster->RunColumn(std::move(run), collect, &errors));
+      DBTF_RETURN_IF_ERROR(cluster->RunColumn(run, collect, &errors));
       if (static_cast<std::int64_t>(errors.totals0.size()) != rows ||
           static_cast<std::int64_t>(errors.totals1.size()) != rows) {
         return Status::Internal(

@@ -127,14 +127,15 @@ class FactorBroadcastState {
 ///      afterwards, nothing for an unchanged operand — see
 ///      FactorBroadcastState). Workers rebuild M_f masks and per-partition
 ///      cache tables only when the corresponding operand moved.
-///   2. Per column c: RunUpdateColumn (task dispatch; the current row masks
-///      ride the closure) followed by CollectErrors (one charged collect of
+///   2. Per column c, one Cluster::RunColumn: a RunUpdateColumn dispatch
+///      (priced at zero; the message carries the current row masks)
+///      followed by a CollectErrors collect (one charged collect of
 ///      2 errors x rows x partitions). Both are enqueued back-to-back on
 ///      the machines' serial mailboxes, so one machine's collect can run
 ///      while another is still computing — the greedy decision only needs
 ///      the *reduced* errors, which the driver awaits before deciding. The
 ///      driver decides each entry of the column (ties prefer 0, the sparser
-///      factor) and carries the decisions into the next column's closure.
+///      factor) and carries the decisions into the next column's dispatch.
 ///
 /// The workers attached to `cluster` must jointly hold every partition of
 /// the unfolding (shape `shape`). Because the current value of every entry

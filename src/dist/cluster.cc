@@ -74,35 +74,13 @@ void Cluster::RunTasks(std::int64_t n,
   });
 }
 
-Status Cluster::AttachWorker(int machine, Worker* worker) {
-  return AttachWorkerImpl(machine, worker, nullptr, nullptr);
-}
-
-Status Cluster::AttachWorker(int machine, std::shared_ptr<Worker> worker) {
-  Worker* raw = worker.get();
-  return AttachWorkerImpl(machine, raw, std::move(worker), nullptr);
-}
-
 Status Cluster::AttachEndpoint(int machine,
                                std::shared_ptr<WorkerEndpoint> endpoint) {
-  if (endpoint == nullptr) {
-    return Status::InvalidArgument("cannot attach a null endpoint");
-  }
-  // An endpoint fronting an in-process worker also serves the legacy
-  // WorkerFn routing; a remote endpoint leaves `worker` null and only the
-  // typed routing methods can reach it.
-  Worker* worker = endpoint->local_worker();
-  return AttachWorkerImpl(machine, worker, nullptr, std::move(endpoint));
-}
-
-Status Cluster::AttachWorkerImpl(int machine, Worker* worker,
-                                 std::shared_ptr<Worker> owned,
-                                 std::shared_ptr<WorkerEndpoint> endpoint) {
   if (machine < 0 || machine >= config_.num_machines) {
     return Status::InvalidArgument("machine index out of range");
   }
-  if (worker == nullptr && endpoint == nullptr) {
-    return Status::InvalidArgument("cannot attach a null worker");
+  if (endpoint == nullptr) {
+    return Status::InvalidArgument("cannot attach a null endpoint");
   }
   MutexLock lock(mu_);
   if (dead_[static_cast<std::size_t>(machine)]) {
@@ -116,8 +94,7 @@ Status Cluster::AttachWorkerImpl(int machine, Worker* worker,
           "a worker is already attached to this machine");
     }
   }
-  workers_.push_back(
-      AttachedWorker{machine, worker, std::move(owned), std::move(endpoint)});
+  workers_.push_back(AttachedWorker{machine, std::move(endpoint)});
   return Status::OK();
 }
 
@@ -129,14 +106,6 @@ void Cluster::DetachWorkers() {
 int Cluster::num_attached_workers() const {
   MutexLock lock(mu_);
   return static_cast<int>(workers_.size());
-}
-
-Worker* Cluster::AttachedWorkerOn(int machine) const {
-  MutexLock lock(mu_);
-  for (const AttachedWorker& w : workers_) {
-    if (w.machine == machine) return w.worker;
-  }
-  return nullptr;
 }
 
 std::shared_ptr<WorkerEndpoint> Cluster::EndpointOn(int machine) const {
@@ -172,272 +141,157 @@ Result<Unit> ToUnitResult(const Status& status) {
   return status;
 }
 
-/// Legacy WorkerFn routing against an endpoint that has no in-process
-/// worker (socket transport): a usage error, not a transport failure.
-Status NoInProcessWorkerError(int machine) {
-  return Status::FailedPrecondition(
-      "machine " + std::to_string(machine) +
-      " has no in-process worker (socket transport); use the typed routing "
-      "methods");
-}
-
-/// Typed routing against a legacy attach that never produced an endpoint.
-Status NoEndpointError(int machine) {
-  return Status::FailedPrecondition(
-      "machine " + std::to_string(machine) +
-      " has no transport endpoint; attach via AttachEndpoint or the "
-      "provisioning seam");
+/// Runs one endpoint call and charges the handler CPU it reports to the
+/// machine's virtual clock, whatever the call's outcome.
+template <typename Call>
+Status ChargedCall(Cluster& cluster, int machine, const Call& call) {
+  double seconds = 0.0;
+  const Status status = call(&seconds);
+  cluster.ChargeCompute(machine, seconds);
+  return status;
 }
 
 }  // namespace
 
-/// Shared state of one async broadcast/dispatch fan-out. Each machine's
-/// mailbox task writes its own statuses slot; the last task to finish (the
-/// remaining counter hitting zero, acq_rel so every slot is visible) picks
-/// the combined status and resolves the promise. The snapshot pins
-/// cluster-owned workers alive until every delivery has drained.
-struct Cluster::RouteOp {
+/// Shared state of one fan-out. Each mailbox task writes its own statuses
+/// slot; the last task to finish (the remaining counter hitting zero,
+/// acq_rel so every slot is visible) hands them all to the promise. The
+/// snapshot pins every endpoint alive until its deliveries have drained.
+struct Cluster::FanOut {
   std::vector<AttachedWorker> workers;
-  RouteFn fn;
+  DeliverFn deliver;
   std::vector<Status> statuses;
   std::atomic<int> remaining{0};
-  Promise<Unit> promise;
+  Promise<std::vector<Status>> done;
 };
 
-/// Shared state of one async collect fan-out. The gathers mutate the
-/// driver's accumulators, so those mutations are serialized under
-/// `reduce_mu_` — the mailbox-parallel equivalent of the old sequential
-/// driver-side reduce (int64 sums commute, so the reduce order does not
-/// affect the result).
-struct Cluster::CollectOp {
-  std::vector<AttachedWorker> workers;
-  GatherFn gather;
-  std::vector<Status> statuses;
-  std::atomic<int> remaining{0};
-  Promise<Unit> promise;
-  Mutex reduce_mu_;
-  std::int64_t total_bytes_ DBTF_GUARDED_BY(reduce_mu_) = 0;
-};
-
-/// Shared state of one fused dispatch+collect fan-out (AsyncRunColumn). The
-/// statuses vector holds the dispatch outcomes in [0, n) and the collect
-/// outcomes in [n, 2n), so CombineStatuses surfaces dispatch failures ahead
-/// of collect failures of the same severity — the same selection the engine
-/// made when it awaited the two futures in that order.
-struct Cluster::ColumnOp {
-  std::vector<AttachedWorker> workers;
-  std::shared_ptr<const RunUpdateColumn> run;
-  std::shared_ptr<const CollectErrorsRequest> request;
-  CollectErrorsResponse* response = nullptr;
-  std::vector<Status> statuses;
-  std::atomic<int> remaining{0};
-  Promise<Unit> promise;
-  Mutex reduce_mu_;
-  std::int64_t total_bytes_ DBTF_GUARDED_BY(reduce_mu_) = 0;
-};
-
-/// Shared state of one point-to-point query delivery. The target snapshot
-/// pins a cluster-owned worker (and its endpoint) alive until the delivery
-/// drains, exactly like a fan-out snapshot would.
-struct Cluster::QueryOp {
-  QueryRequest msg;
-  QueryResponse* response = nullptr;
-  AttachedWorker target{};
-  Promise<Unit> promise;
-};
-
-Cluster::RouteFn Cluster::AdaptWorkerFn(const WorkerFn& fn) {
-  return [this, fn](const AttachedWorker& w) {
-    if (w.worker == nullptr) return NoInProcessWorkerError(w.machine);
-    ThreadCpuTimer timer;
-    const Status status = fn(*w.worker);
-    ChargeCompute(w.machine, timer.ElapsedSeconds());
-    return status;
-  };
-}
-
-Future<Unit> Cluster::AsyncBroadcastToWorkers(std::int64_t wire_bytes,
-                                              const WorkerFn& deliver) {
-  // Lemma 7 charging happens at enqueue, exactly once per broadcast, whether
-  // or not any delivery later fails (the bytes left the driver either way).
-  ChargeBroadcast(wire_bytes);
-  return AsyncRouteToWorkers(MessageKind::kBroadcast, AdaptWorkerFn(deliver));
-}
-
-Future<Unit> Cluster::AsyncDispatchToWorkers(const WorkerFn& fn) {
-  return AsyncRouteToWorkers(MessageKind::kDispatch, AdaptWorkerFn(fn));
-}
-
-Future<Unit> Cluster::AsyncBroadcastFactors(FactorDelta msg) {
-  // The op owns the payload: every machine's delivery reads the same const
-  // message, and the last one to drain releases it.
-  auto shared = std::make_shared<const FactorDelta>(std::move(msg));
-  ChargeBroadcast(shared->WireBytes());
-  return AsyncRouteToWorkers(
-      MessageKind::kBroadcast, [this, shared](const AttachedWorker& w) {
-        if (w.endpoint == nullptr) return NoEndpointError(w.machine);
-        double seconds = 0.0;
-        const Status status = w.endpoint->Deliver(*shared, &seconds);
-        ChargeCompute(w.machine, seconds);
-        return status;
-      });
-}
-
-Future<Unit> Cluster::AsyncDispatchColumn(RunUpdateColumn msg) {
-  auto shared = std::make_shared<const RunUpdateColumn>(std::move(msg));
-  return AsyncRouteToWorkers(
-      MessageKind::kDispatch, [this, shared](const AttachedWorker& w) {
-        if (w.endpoint == nullptr) return NoEndpointError(w.machine);
-        double seconds = 0.0;
-        const Status status = w.endpoint->Deliver(*shared, &seconds);
-        ChargeCompute(w.machine, seconds);
-        return status;
-      });
-}
-
-Future<Unit> Cluster::AsyncCollectErrors(const CollectErrorsRequest& msg,
-                                         CollectErrorsResponse* response) {
-  auto shared = std::make_shared<const CollectErrorsRequest>(msg);
-  return AsyncGatherFromWorkers(
-      [this, shared, response](const AttachedWorker& w,
-                               Mutex& reduce_mu) -> Result<std::int64_t> {
-        if (w.endpoint == nullptr) return NoEndpointError(w.machine);
-        // The endpoint call runs outside the reduce lock — collects from
-        // different machines overlap; only the merge is serialized.
-        CollectErrorsResponse local;
-        double seconds = 0.0;
-        const Status status = w.endpoint->Collect(*shared, &local, &seconds);
-        ChargeCompute(w.machine, seconds);
-        if (!status.ok()) return status;
-        MutexLock lock(reduce_mu);
-        response->MergeFrom(local);
-        return local.wire_bytes;
-      });
-}
-
-Future<Unit> Cluster::AsyncRunColumn(RunUpdateColumn run,
-                                     const CollectErrorsRequest& req,
-                                     CollectErrorsResponse* response) {
-  auto op = std::make_shared<ColumnOp>();
+Result<std::vector<Status>> Cluster::RunFanOut(int rounds, DeliverFn deliver) {
+  auto op = std::make_shared<FanOut>();
   op->workers = WorkerSnapshot();
-  if (op->workers.empty()) {
-    op->promise.Set(NoWorkersError(DeadMachines()));
-    return op->promise.future();
-  }
-  op->run = std::make_shared<const RunUpdateColumn>(std::move(run));
-  op->request = std::make_shared<const CollectErrorsRequest>(req);
-  op->response = response;
+  if (op->workers.empty()) return NoWorkersError(DeadMachines());
+  op->deliver = std::move(deliver);
   const std::size_t n = op->workers.size();
-  op->statuses.assign(2 * n, Status::OK());
-  op->remaining.store(static_cast<int>(2 * n), std::memory_order_relaxed);
-  Future<Unit> future = op->promise.future();
-
-  const auto finish_one = [this](const std::shared_ptr<ColumnOp>& op) {
-    if (op->remaining.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
-    const std::size_t n = op->workers.size();
-    bool collected = true;
-    for (std::size_t i = n; i < 2 * n; ++i) {
-      collected = collected && op->statuses[i].ok();
-    }
-    if (collected) {
-      // One collect event for the whole fan-out (Lemma 7), charged only
-      // when every machine's collect succeeded — independent of the
-      // dispatch outcomes, exactly as with separate fan-outs.
-      MutexLock lock(op->reduce_mu_);
-      ChargeCollect(op->total_bytes_);
-    }
-    op->promise.Set(ToUnitResult(CombineStatuses(op->statuses)));
-  };
-
-  for (std::size_t i = 0; i < n; ++i) {
-    const int machine = op->workers[i].machine;
-    Mailbox& mailbox = *mailboxes_[static_cast<std::size_t>(machine)];
-    // Dispatch first, collect second, back-to-back on the machine's serial
-    // mailbox: per-(machine, kind) injector counters advance exactly as
-    // they did when the engine enqueued two separate fan-outs.
-    mailbox.Post([this, op, i, finish_one] {
-      const AttachedWorker& w = op->workers[i];
-      op->statuses[i] =
-          DeliverWithRetry(w.machine, MessageKind::kDispatch, [this, op, &w]() {
-            if (w.endpoint == nullptr) return NoEndpointError(w.machine);
-            double seconds = 0.0;
-            const Status status = w.endpoint->Deliver(*op->run, &seconds);
-            ChargeCompute(w.machine, seconds);
-            return status;
-          });
-      finish_one(op);
-    });
-    mailbox.Post([this, op, i, n, finish_one] {
-      const AttachedWorker& w = op->workers[i];
-      op->statuses[n + i] =
-          DeliverWithRetry(w.machine, MessageKind::kCollect, [this, op, &w]() {
-            if (w.endpoint == nullptr) return NoEndpointError(w.machine);
-            CollectErrorsResponse local;
-            double seconds = 0.0;
-            const Status status =
-                w.endpoint->Collect(*op->request, &local, &seconds);
-            ChargeCompute(w.machine, seconds);
-            if (!status.ok()) return status;
-            MutexLock lock(op->reduce_mu_);
-            op->response->MergeFrom(local);
-            op->total_bytes_ += local.wire_bytes;
-            return Status::OK();
-          });
-      finish_one(op);
+  const std::size_t total = n * static_cast<std::size_t>(rounds);
+  op->statuses.assign(total, Status::OK());
+  op->remaining.store(static_cast<int>(total), std::memory_order_relaxed);
+  // Take the future before posting: the last delivery may resolve the op
+  // while this loop is still running.
+  Future<std::vector<Status>> done = op->done.future();
+  for (std::size_t slot = 0; slot < total; ++slot) {
+    const AttachedWorker& w = op->workers[slot % n];
+    mailboxes_[static_cast<std::size_t>(w.machine)]->Post([op, slot, n] {
+      op->statuses[slot] = op->deliver(op->workers[slot % n],
+                                       static_cast<int>(slot / n));
+      if (op->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        op->done.Set(std::move(op->statuses));
+      }
     });
   }
-  return future;
+  return done.Get();
 }
 
-Future<Unit> Cluster::AsyncQueryWorker(int machine, QueryRequest msg,
-                                       QueryResponse* response) {
-  auto op = std::make_shared<QueryOp>();
-  op->msg = std::move(msg);
-  op->response = response;
-  Future<Unit> future = op->promise.future();
-  if (machine < 0 || machine >= config_.num_machines) {
-    op->promise.Set(Status::InvalidArgument("machine index out of range"));
-    return future;
-  }
-  // Pin the target via a registry snapshot, like the fan-out paths: a
-  // concurrent detach cannot free the worker under the delivery. A dead
-  // machine is absent from the registry, so it falls out as kUnavailable
-  // here — the same code an injected crash surfaces mid-delivery.
-  bool found = false;
-  for (AttachedWorker& w : WorkerSnapshot()) {
-    if (w.machine == machine) {
-      op->target = std::move(w);
-      found = true;
-      break;
+Status Cluster::BroadcastFactors(const FactorDelta& msg) {
+  // Lemma 7 charging happens before delivery, exactly once per broadcast,
+  // whether or not any delivery later fails (the bytes left the driver
+  // either way).
+  ChargeBroadcast(msg.WireBytes());
+  DBTF_ASSIGN_OR_RETURN(
+      const std::vector<Status> statuses,
+      RunFanOut(1, [this, &msg](const AttachedWorker& w, int) {
+        return DeliverWithRetry(w.machine, MessageKind::kBroadcast, [&] {
+          return ChargedCall(*this, w.machine, [&](double* seconds) {
+            return w.endpoint->Deliver(msg, seconds);
+          });
+        });
+      }));
+  return CombineStatuses(statuses);
+}
+
+Status Cluster::RunColumn(const RunUpdateColumn& run,
+                          const CollectErrorsRequest& req,
+                          CollectErrorsResponse* response) {
+  // Round 0 dispatches, round 1 collects, back-to-back on each machine's
+  // serial mailbox: per-(machine, kind) injector counters advance exactly as
+  // with two separate fan-outs, and CombineStatuses surfaces a dispatch
+  // failure ahead of a collect failure of the same severity. Each machine's
+  // response lands in its own slot only when its collect succeeded, so a
+  // retried collect never double-counts.
+  std::vector<CollectErrorsResponse> collected(
+      static_cast<std::size_t>(config_.num_machines));
+  DBTF_ASSIGN_OR_RETURN(
+      const std::vector<Status> statuses,
+      RunFanOut(2, [&](const AttachedWorker& w, int round) {
+        if (round == 0) {
+          return DeliverWithRetry(w.machine, MessageKind::kDispatch, [&] {
+            return ChargedCall(*this, w.machine, [&](double* seconds) {
+              return w.endpoint->Deliver(run, seconds);
+            });
+          });
+        }
+        return DeliverWithRetry(w.machine, MessageKind::kCollect, [&] {
+          CollectErrorsResponse local;
+          const Status status =
+              ChargedCall(*this, w.machine, [&](double* seconds) {
+                return w.endpoint->Collect(req, &local, seconds);
+              });
+          if (status.ok()) {
+            collected[static_cast<std::size_t>(w.machine)] = std::move(local);
+          }
+          return status;
+        });
+      }));
+  // One collect event for the whole fan-out (Lemma 7), charged only when
+  // every machine's collect succeeded — independent of the dispatch
+  // outcomes. Int64 sums commute, so the merge order is immaterial.
+  const auto collects = statuses.begin() +
+                        static_cast<std::ptrdiff_t>(statuses.size() / 2);
+  if (std::all_of(collects, statuses.end(),
+                  [](const Status& s) { return s.ok(); })) {
+    std::int64_t bytes = 0;
+    for (const CollectErrorsResponse& part : collected) {
+      response->MergeFrom(part);
+      bytes += part.wire_bytes;
     }
+    ChargeCollect(bytes);
   }
-  if (!found) {
-    op->promise.Set(Status::Unavailable(
+  return CombineStatuses(statuses);
+}
+
+Status Cluster::QueryWorker(int machine, const QueryRequest& msg,
+                            QueryResponse* response) {
+  if (machine < 0 || machine >= config_.num_machines) {
+    return Status::InvalidArgument("machine index out of range");
+  }
+  // Pin the target via the registry, like a fan-out snapshot: a concurrent
+  // detach cannot free the worker under the delivery. A dead machine is
+  // absent from the registry, so it falls out as kUnavailable here — the
+  // same code an injected crash surfaces mid-delivery.
+  std::shared_ptr<WorkerEndpoint> endpoint = EndpointOn(machine);
+  if (endpoint == nullptr) {
+    return Status::Unavailable(
         "machine " + std::to_string(machine) +
-        " has no attached endpoint (lost or never attached)"));
-    return future;
+        " has no attached endpoint (lost or never attached)");
   }
+  Promise<Unit> promise;
+  Future<Unit> future = promise.future();
   // Queries share the collect slot of the injector's per-(machine, kind)
   // counters: both are worker->driver response traffic, and reusing the
   // slot keeps checkpointed counter layouts (machine * 3 + kind) stable.
-  mailboxes_[static_cast<std::size_t>(machine)]->Post([this, op] {
-    const AttachedWorker& w = op->target;
-    const Status status =
-        DeliverWithRetry(w.machine, MessageKind::kCollect, [this, op, &w]() {
-          if (w.endpoint == nullptr) return NoEndpointError(w.machine);
-          double seconds = 0.0;
-          const Status s = w.endpoint->Query(op->msg, op->response, &seconds);
-          ChargeCompute(w.machine, seconds);
-          return s;
-        });
-    if (status.ok()) {
-      // One query event for the round trip, charged only on success — a
-      // failed query charges nothing, like a failed collect.
-      ChargeQuery(op->msg.WireBytes() + op->response->WireBytes());
-    }
-    op->promise.Set(ToUnitResult(status));
-  });
-  return future;
+  mailboxes_[static_cast<std::size_t>(machine)]->Post(
+      [this, promise, endpoint, machine, &msg, response]() mutable {
+        const Status status =
+            DeliverWithRetry(machine, MessageKind::kCollect, [&] {
+              return ChargedCall(*this, machine, [&](double* seconds) {
+                return endpoint->Query(msg, response, seconds);
+              });
+            });
+        if (status.ok()) {
+          // One query event for the round trip, charged only on success.
+          ChargeQuery(msg.WireBytes() + response->WireBytes());
+        }
+        promise.Set(ToUnitResult(status));
+      });
+  return future.Get().status();
 }
 
 Future<Unit> Cluster::AsyncStorePartition(StorePartitionRequest msg) {
@@ -461,42 +315,6 @@ Future<Unit> Cluster::AsyncStorePartition(StorePartitionRequest msg) {
   return future;
 }
 
-Status Cluster::QueryWorker(int machine, QueryRequest msg,
-                            QueryResponse* response) {
-  return AsyncQueryWorker(machine, std::move(msg), response).Get().status();
-}
-
-Status Cluster::RunColumn(RunUpdateColumn run, const CollectErrorsRequest& req,
-                          CollectErrorsResponse* response) {
-  return AsyncRunColumn(std::move(run), req, response).Get().status();
-}
-
-Status Cluster::BroadcastToWorkers(std::int64_t wire_bytes,
-                                   const WorkerFn& deliver) {
-  return AsyncBroadcastToWorkers(wire_bytes, deliver).Get().status();
-}
-
-Status Cluster::DispatchToWorkers(const WorkerFn& fn) {
-  return AsyncDispatchToWorkers(fn).Get().status();
-}
-
-Status Cluster::CollectFromWorkers(const WorkerGatherFn& gather) {
-  return AsyncCollectFromWorkers(gather).Get().status();
-}
-
-Status Cluster::BroadcastFactors(FactorDelta msg) {
-  return AsyncBroadcastFactors(std::move(msg)).Get().status();
-}
-
-Status Cluster::DispatchColumn(RunUpdateColumn msg) {
-  return AsyncDispatchColumn(std::move(msg)).Get().status();
-}
-
-Status Cluster::CollectErrors(const CollectErrorsRequest& msg,
-                              CollectErrorsResponse* response) {
-  return AsyncCollectErrors(msg, response).Get().status();
-}
-
 Status Cluster::CombineStatuses(const std::vector<Status>& statuses) {
   for (const Status& status : statuses) {
     if (!status.ok() && !IsRetryable(status.code())) return status;
@@ -505,89 +323,6 @@ Status Cluster::CombineStatuses(const std::vector<Status>& statuses) {
     if (!status.ok()) return status;
   }
   return Status::OK();
-}
-
-Future<Unit> Cluster::AsyncRouteToWorkers(MessageKind kind, RouteFn fn) {
-  auto op = std::make_shared<RouteOp>();
-  op->workers = WorkerSnapshot();
-  if (op->workers.empty()) {
-    op->promise.Set(NoWorkersError(DeadMachines()));
-    return op->promise.future();
-  }
-  op->fn = std::move(fn);
-  op->statuses.assign(op->workers.size(), Status::OK());
-  op->remaining.store(static_cast<int>(op->workers.size()),
-                      std::memory_order_relaxed);
-  // Take the future before posting: the last delivery may resolve (and the
-  // caller may drop) the op while this loop is still running.
-  Future<Unit> future = op->promise.future();
-  for (std::size_t i = 0; i < op->workers.size(); ++i) {
-    const int machine = op->workers[i].machine;
-    mailboxes_[static_cast<std::size_t>(machine)]->Post([this, op, kind, i] {
-      const AttachedWorker& w = op->workers[i];
-      op->statuses[i] =
-          DeliverWithRetry(w.machine, kind, [op, &w]() { return op->fn(w); });
-      if (op->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        op->promise.Set(ToUnitResult(CombineStatuses(op->statuses)));
-      }
-    });
-  }
-  return future;
-}
-
-Future<Unit> Cluster::AsyncCollectFromWorkers(const WorkerGatherFn& gather) {
-  // The legacy gather both reads the worker and mutates the driver's
-  // accumulators, so the whole callback runs under the reduce lock — the
-  // exact behavior of the old sequential driver-side reduce.
-  return AsyncGatherFromWorkers(
-      [gather](const AttachedWorker& w,
-               Mutex& reduce_mu) -> Result<std::int64_t> {
-        if (w.worker == nullptr) return NoInProcessWorkerError(w.machine);
-        MutexLock lock(reduce_mu);
-        return gather(*w.worker);
-      });
-}
-
-Future<Unit> Cluster::AsyncGatherFromWorkers(GatherFn gather) {
-  auto op = std::make_shared<CollectOp>();
-  op->workers = WorkerSnapshot();
-  if (op->workers.empty()) {
-    op->promise.Set(NoWorkersError(DeadMachines()));
-    return op->promise.future();
-  }
-  op->gather = std::move(gather);
-  op->statuses.assign(op->workers.size(), Status::OK());
-  op->remaining.store(static_cast<int>(op->workers.size()),
-                      std::memory_order_relaxed);
-  Future<Unit> future = op->promise.future();
-  for (std::size_t i = 0; i < op->workers.size(); ++i) {
-    const int machine = op->workers[i].machine;
-    mailboxes_[static_cast<std::size_t>(machine)]->Post([this, op, i] {
-      const AttachedWorker& w = op->workers[i];
-      op->statuses[i] =
-          DeliverWithRetry(w.machine, MessageKind::kCollect, [op, &w]() {
-            // The gather only credits the byte total on success, so a
-            // retried gather never double-counts.
-            const Result<std::int64_t> bytes = op->gather(w, op->reduce_mu_);
-            if (!bytes.ok()) return bytes.status();
-            MutexLock lock(op->reduce_mu_);
-            op->total_bytes_ += *bytes;
-            return Status::OK();
-          });
-      if (op->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        const Status combined = CombineStatuses(op->statuses);
-        if (combined.ok()) {
-          // One collect event for the whole fan-out (Lemma 7), charged only
-          // when every gather succeeded — a failed collect charges nothing,
-          // exactly like the old sequential reduce's early return.
-          MutexLock lock(op->reduce_mu_);
-          ChargeCollect(op->total_bytes_);
-        }
-        op->promise.Set(ToUnitResult(combined));
-      }
-    });
-  }
-  return future;
 }
 
 Status Cluster::DeliverWithRetry(int machine, MessageKind kind,

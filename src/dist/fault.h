@@ -11,8 +11,9 @@
 
 namespace dbtf {
 
-/// The routed message kinds a fault can target — one per Cluster routing
-/// primitive (BroadcastToWorkers / DispatchToWorkers / CollectFromWorkers).
+/// The routed message kinds a fault can target: the factor broadcast
+/// (Cluster::BroadcastFactors), and the dispatch and the collect halves of
+/// one column step (Cluster::RunColumn). Serving queries count as collects.
 enum class MessageKind { kBroadcast = 0, kDispatch = 1, kCollect = 2 };
 
 const char* MessageKindToString(MessageKind kind);

@@ -21,10 +21,10 @@ namespace dbtf {
 // the routing layer instead of at call sites:
 //
 //   FactorDelta          -> Cluster::BroadcastFactors   (charged per machine)
-//   RunUpdateColumn      -> Cluster::DispatchColumn     (task closure; priced
+//   RunUpdateColumn +    -> Cluster::RunColumn          (one fan-out: the
+//   CollectErrorsRequest                                 dispatch is priced
 //                           at zero, as the paper's shuffle analysis prices
-//                           task dispatch)
-//   CollectErrorsRequest -> Cluster::CollectErrors      (response bytes
+//                           task dispatch; the collect's response bytes are
 //                           charged once, summed over machines)
 //   StorePartitionRequest / ListPartitions -> provisioning seam
 //                           (dist/provision.h), charged there when the move

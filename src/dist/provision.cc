@@ -6,7 +6,6 @@
 #include "dist/cluster.h"
 #include "dist/transport/inproc.h"
 #include "dist/transport/transport.h"
-#include "dist/worker.h"
 
 namespace dbtf {
 
@@ -46,28 +45,6 @@ Status ProvisionWorkers(Cluster& cluster) {
 
 namespace {
 
-Result<std::shared_ptr<WorkerEndpoint>> ResidentEndpoint(Cluster& cluster,
-                                                         std::int64_t index) {
-  const int owner = cluster.OwnerOf(index);
-  std::shared_ptr<WorkerEndpoint> endpoint = cluster.EndpointOn(owner);
-  if (endpoint == nullptr) {
-    return Status::FailedPrecondition(
-        "no worker endpoint attached to the partition's machine");
-  }
-  return endpoint;
-}
-
-/// Packed bytes of one partition's block rows — what re-shipping it costs on
-/// the wire (the same per-block accounting as Worker::LocalPartitionBytes).
-std::int64_t PartitionPackedBytes(const Partition& partition) {
-  std::int64_t bytes = 0;
-  for (const PartitionBlock& block : partition.blocks) {
-    bytes += block.rows.rows() * block.rows.words_per_row() *
-             static_cast<std::int64_t>(sizeof(BitWord));
-  }
-  return bytes;
-}
-
 /// The typed store message shipping `partition` as index `index`.
 StorePartitionRequest StoreRequest(Mode mode, std::int64_t index,
                                    Partition partition,
@@ -98,22 +75,6 @@ Status StorePartitions(Cluster& cluster, Mode mode,
     if (first.ok()) first = status;
   }
   return first;
-}
-
-Status LendPartition(Cluster& cluster, Mode mode, std::int64_t index,
-                     const Partition* partition, const UnfoldShape& shape) {
-  DBTF_ASSIGN_OR_RETURN(std::shared_ptr<WorkerEndpoint> endpoint,
-                        ResidentEndpoint(cluster, index));
-  // Borrowing shares a driver-side pointer, which cannot cross a process
-  // boundary; callers that lend must run the in-process transport.
-  Worker* worker = endpoint->local_worker();
-  if (worker == nullptr) {
-    return Status::FailedPrecondition(
-        "LendPartition requires an in-process worker; the socket transport "
-        "must use StorePartitions");
-  }
-  worker->BorrowPartition(mode, index, partition, shape);
-  return Status::OK();
 }
 
 namespace {
@@ -176,8 +137,10 @@ Status RestoreCoverageCore(Cluster& cluster,
       // First surviving machine in ring order after the original owner —
       // deterministic, and it spreads adopted partitions across survivors.
       const int owner = cluster.OwnerOf(p);
-      const Partition& partition = partitions[static_cast<std::size_t>(p)];
-      const std::int64_t bytes = PartitionPackedBytes(partition);
+      const StorePartitionRequest request =
+          StoreRequest(spec.mode, p,
+                       std::move(partitions[static_cast<std::size_t>(p)]),
+                       spec.shape);
       bool stored = false;
       for (int step = 1; step <= machines && !stored; ++step) {
         const int target_machine = (owner + step) % machines;
@@ -186,11 +149,12 @@ Status RestoreCoverageCore(Cluster& cluster,
         if (target == nullptr) continue;
         // The copy keeps the partition available for the next ring step
         // when this target's worker process turns out to be dead too.
-        const Status status = target->Store(
-            StoreRequest(spec.mode, p, partition, spec.shape), nullptr);
+        const Status status = target->Store(request, nullptr);
         if (status.ok()) {
           stored = true;
-          if (charge) cluster.ChargeReprovision(target_machine, bytes);
+          if (charge) {
+            cluster.ChargeReprovision(target_machine, request.WireBytes());
+          }
         } else if (status.code() == StatusCode::kIoError) {
           cluster.RestoreDeadMachine(target_machine);
         } else {

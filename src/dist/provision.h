@@ -19,8 +19,8 @@ class Cluster;
 /// Driver code (session, factor update, engine callers) never names a Worker
 /// member: it provisions endpoints and places partition data through these
 /// free functions, then communicates exclusively via Cluster routing.
-/// tools/dbtf_lint.py enforces the boundary — outside src/dist/ only
-/// src/dbtf/engine.cc (the routing call sites) may include dist/worker.h.
+/// tools/dbtf_lint.py enforces the boundary: no translation unit outside
+/// src/dist/ may include dist/worker.h.
 
 /// Creates one worker endpoint per machine over the transport named in the
 /// cluster config (in-process Workers, or one dbtf-worker OS process per
@@ -39,14 +39,6 @@ Status ProvisionWorkers(Cluster& cluster);
 Status StorePartitions(Cluster& cluster, Mode mode,
                        std::vector<Partition> partitions,
                        const UnfoldShape& shape);
-
-/// Places partition `index` like StorePartitions, but the resident worker
-/// only borrows `partition`; the caller keeps ownership and must keep it
-/// alive until the workers are detached. Borrowing shares a driver-side
-/// pointer, so it requires the in-process transport; over sockets it fails
-/// with kFailedPrecondition.
-Status LendPartition(Cluster& cluster, Mode mode, std::int64_t index,
-                     const Partition* partition, const UnfoldShape& shape);
 
 // --- Recovery ---------------------------------------------------------------
 

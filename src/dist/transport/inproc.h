@@ -14,12 +14,11 @@ namespace dbtf {
 // socket transport is checked against, and the configuration the sanitizer
 // presets exercise (one process means TSan sees every handler).
 //
-// Declared here (rather than only behind CreateInProcessTransport) so the
-// cluster/worker tests can wrap their own stack-owned Workers in endpoints.
+// Declared here (rather than only behind CreateInProcessTransport) so an
+// endpoint of one's own can wrap an in-process one — the lifetime tests
+// attach such a wrapper to hold a handler mid-delivery.
 
-/// Wraps an existing worker the caller owns; `worker` must outlive the
-/// endpoint and any routing over it.
-std::shared_ptr<WorkerEndpoint> MakeInProcessEndpoint(Worker* worker);
+class Worker;  // dist/worker.h
 
 /// Wraps a shared worker, keeping it alive for the endpoint's lifetime.
 std::shared_ptr<WorkerEndpoint> MakeInProcessEndpoint(

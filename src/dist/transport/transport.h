@@ -12,8 +12,6 @@
 
 namespace dbtf {
 
-class Worker;  // dist/worker.h — the handler implementation behind endpoints
-
 /// Which transport carries the driver <-> worker messages.
 enum class TransportKind {
   /// Workers live in the driver process; deliveries are direct handler
@@ -100,11 +98,6 @@ class WorkerEndpoint {
   virtual Status Store(StorePartitionRequest msg, double* compute_seconds) = 0;
   virtual Result<std::vector<std::int64_t>> ListPartitions(
       Mode mode, double* compute_seconds) = 0;
-
-  /// The in-process worker behind this endpoint, or null for a remote one.
-  /// Only the legacy closure-routing API (Cluster::*ToWorkers) and the
-  /// borrow-based UpdateFactor entry point use it.
-  virtual Worker* local_worker() { return nullptr; }
 
   /// OS process id of the worker behind this endpoint. Fails with
   /// kFailedPrecondition for in-process endpoints. Exists for the crash

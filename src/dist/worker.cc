@@ -11,7 +11,7 @@ namespace dbtf {
 namespace {
 
 /// Lemma 3 invariants of a partition block, enforced whenever a partition
-/// enters a worker (Adopt/BorrowPartition). Every block must be a word-
+/// enters a worker (AdoptPartition). Every block must be a word-
 /// aligned slice of one PVM product: that alignment is what makes the cached
 /// S-bit row summations directly comparable against the block's packed rows
 /// (cache base + word_begin, final word masked). A block that violates these
@@ -65,21 +65,7 @@ void Worker::AdoptPartition(Mode mode, std::int64_t index, Partition partition,
   st.shape = shape;
   LocalPartition lp;
   lp.index = index;
-  lp.owned = std::make_unique<Partition>(std::move(partition));
-  lp.data = lp.owned.get();
-  st.partitions.push_back(std::move(lp));
-}
-
-void Worker::BorrowPartition(Mode mode, std::int64_t index,
-                             const Partition* partition,
-                             const UnfoldShape& shape) {
-  DBTF_CHECK(partition != nullptr);
-  CheckPartitionInvariants(*partition, shape);
-  ModeState& st = state(mode);
-  st.shape = shape;
-  LocalPartition lp;
-  lp.index = index;
-  lp.data = partition;
+  lp.data = std::move(partition);
   st.partitions.push_back(std::move(lp));
 }
 
@@ -93,20 +79,6 @@ std::vector<std::int64_t> Worker::LocalPartitionIndexes(Mode mode) const {
   indexes.reserve(st.partitions.size());
   for (const LocalPartition& lp : st.partitions) indexes.push_back(lp.index);
   return indexes;
-}
-
-std::int64_t Worker::LocalPartitionBytes() const {
-  std::int64_t bytes = 0;
-  for (const ModeState& st : modes_) {
-    for (const LocalPartition& lp : st.partitions) {
-      if (lp.data == nullptr) continue;
-      for (const PartitionBlock& block : lp.data->blocks) {
-        bytes += block.rows.rows() * block.rows.words_per_row() *
-                 static_cast<std::int64_t>(sizeof(BitWord));
-      }
-    }
-  }
-  return bytes;
 }
 
 Status Worker::ApplyMatrixDelta(const MatrixDelta& d) {
@@ -237,7 +209,7 @@ Status Worker::Handle(const RunUpdateColumn& msg) {
       return Status::FailedPrecondition(
           "RunUpdateColumn before the factor broadcast");
     }
-    const Partition& part = *lp.data;
+    const Partition& part = lp.data;
     const CacheTable& cache = *lp.cache;
     const MutableBitSpan scr(lp.scratch.data(),
                              lp.scratch.size() * kBitsPerWord);

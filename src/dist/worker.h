@@ -38,11 +38,11 @@ class Worker {
  public:
   explicit Worker(int machine) : machine_(machine) {}
 
-  // Not copyable and not movable: a worker is attached into the cluster
-  // registry by raw pointer, so a moved-from attached worker would leave a
-  // dangling endpoint behind. Workers live at a fixed address for their
-  // whole life — the provisioning seam's shared_ptr ownership
-  // (dist/provision.h) is what lets them be handed around.
+  // Not copyable and not movable: the endpoint in front of a worker (the
+  // in-process endpoint, or the dbtf-worker server loop) calls it through a
+  // pointer, so a moved-from worker would leave that endpoint dangling.
+  // Workers live at a fixed address for their whole life; the in-process
+  // endpoint's shared_ptr ownership is what lets them be handed around.
   Worker(const Worker&) = delete;
   Worker& operator=(const Worker&) = delete;
   Worker(Worker&&) = delete;
@@ -57,13 +57,6 @@ class Worker {
   void AdoptPartition(Mode mode, std::int64_t index, Partition partition,
                       const UnfoldShape& shape);
 
-  /// Borrows partition `index` without taking ownership (the legacy
-  /// UpdateFactor entry point runs over an externally owned
-  /// PartitionedUnfolding). `partition` must outlive the worker's use.
-  /// Enforces the same Lemma 3 block invariants as AdoptPartition.
-  void BorrowPartition(Mode mode, std::int64_t index,
-                       const Partition* partition, const UnfoldShape& shape);
-
   /// Partitions of `mode` resident on this machine.
   std::int64_t NumLocalPartitions(Mode mode) const;
 
@@ -73,10 +66,6 @@ class Worker {
   /// machine — residency after a recovery no longer matches the placement
   /// policy, so ownership must be queried, not derived.
   std::vector<std::int64_t> LocalPartitionIndexes(Mode mode) const;
-
-  /// Packed bytes of all resident partition slices (Lemma 5's partition
-  /// term, restricted to this machine).
-  std::int64_t LocalPartitionBytes() const;
 
   // --- Message handlers (call via the transport endpoint only) -------------
 
@@ -108,8 +97,7 @@ class Worker {
  private:
   struct LocalPartition {
     std::int64_t index;                ///< global partition index
-    std::unique_ptr<Partition> owned;  ///< set when this worker owns the data
-    const Partition* data;             ///< owned.get() or the borrowed slice
+    Partition data;                    ///< the slice this worker owns
     std::unique_ptr<CacheTable> cache; ///< rebuilt when M_s moves
     std::vector<std::int64_t> err0;    ///< per-row error, candidate bit = 0
     std::vector<std::int64_t> err1;    ///< per-row error, candidate bit = 1

@@ -74,7 +74,7 @@ Status ServeEngine::Rebroadcast() {
     msg.updates.push_back(std::move(d));
   }
   ++stats_.rebroadcasts;
-  const Status status = cluster_->BroadcastFactors(std::move(msg));
+  const Status status = cluster_->BroadcastFactors(msg);
   if (status.ok()) return status;
   // A machine lost mid-broadcast surfaces as retryable; the fan-out still
   // delivered to every survivor (each machine's delivery is independent),
@@ -289,7 +289,7 @@ Status ServeEngine::ApplyUpdate(const std::vector<ServeColumnUpdate>& updates) {
     d.column_bits.push_back(u.bits);
   }
 
-  const Status status = cluster_->BroadcastFactors(std::move(msg));
+  const Status status = cluster_->BroadcastFactors(msg);
   if (!status.ok() &&
       !(IsRetryable(status.code()) && cluster_->num_attached_workers() > 0)) {
     return status;  // nothing committed: driver copies and workers agree

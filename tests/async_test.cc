@@ -11,7 +11,7 @@
 #include "common/status.h"
 #include "dist/cluster.h"
 #include "dist/thread_pool.h"
-#include "dist/worker.h"
+#include "test_util.h"
 
 namespace dbtf {
 namespace {
@@ -114,35 +114,14 @@ TEST(Mailbox, IdleMailboxAcceptsLaterBursts) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
-TEST(AsyncCluster, EmptyRegistryResolvesWithoutDeadlock) {
-  ClusterConfig config;
-  config.num_machines = 2;
-  config.num_threads = 2;
-  auto cluster = Cluster::Create(config);
-  ASSERT_TRUE(cluster.ok());
-  Future<Unit> future =
-      (*cluster)->AsyncDispatchToWorkers([](Worker&) { return Status::OK(); });
-  EXPECT_EQ(future.Get().status().code(), StatusCode::kFailedPrecondition);
-}
-
-/// One recorded handler invocation: which round, and which message kind.
-struct Delivery {
-  int round;
-  MessageKind kind;
-  bool operator==(const Delivery& other) const {
-    return round == other.round && kind == other.kind;
-  }
-};
-
-// The determinism anchor of the whole async runtime: N machines, K fully
-// pipelined rounds of broadcast/dispatch/collect launched without any
-// waiting in between, under a fault plan with transient failures and a
-// stall. Every machine must see its deliveries in exact enqueue order
-// (mailbox FIFO), every handler must run exactly once per round (faults
-// fail *before* the handler; retries redeliver), and the ledger must charge
-// exactly once per event. Run under TSan this is also the concurrency
-// stress for mailboxes, futures, and the ledger.
-TEST(AsyncCluster, PipelinedRoundsStayFifoAndChargeExactlyOnce) {
+// The determinism anchor of the routing runtime: N machines, K rounds of
+// broadcast + fused dispatch/collect under a fault plan with transient
+// failures and a stall. Every machine must see its deliveries in exact
+// enqueue order (mailbox FIFO), every handler must run exactly once per
+// round (faults fail *before* the handler; retries redeliver), and the
+// ledger must charge exactly once per event. Run under TSan this is also
+// the concurrency stress for mailboxes, futures, and the ledger.
+TEST(AsyncCluster, RoundsStayFifoAndChargeExactlyOnce) {
   constexpr int kMachines = 4;
   constexpr int kRounds = 8;
   constexpr std::int64_t kBroadcastBytes = 64;
@@ -157,53 +136,32 @@ TEST(AsyncCluster, PipelinedRoundsStayFifoAndChargeExactlyOnce) {
   config.fault_plan = *plan;
   auto cluster = Cluster::Create(config);
   ASSERT_TRUE(cluster.ok());
-
-  std::vector<std::unique_ptr<Worker>> workers;
+  const auto endpoints = testing::AttachScripted(**cluster, {0, 1, 2, 3});
   for (int m = 0; m < kMachines; ++m) {
-    workers.push_back(std::make_unique<Worker>(m));
-    ASSERT_TRUE((*cluster)->AttachWorker(m, workers.back().get()).ok());
+    endpoints[static_cast<std::size_t>(m)]->collect_bytes = m * 10 + 1;
   }
 
-  // Written only from each machine's own serial mailbox; read after every
-  // future resolved (Get is the synchronization point).
-  std::vector<std::vector<Delivery>> seen(kMachines);
-  std::vector<Future<Unit>> futures;
+  const FactorDelta broadcast = testing::SizedBroadcast(kBroadcastBytes);
   for (int round = 0; round < kRounds; ++round) {
-    futures.push_back((*cluster)->AsyncBroadcastToWorkers(
-        kBroadcastBytes, [&seen, round](Worker& w) {
-          seen[static_cast<std::size_t>(w.machine())].push_back(
-              {round, MessageKind::kBroadcast});
-          return Status::OK();
-        }));
-    futures.push_back(
-        (*cluster)->AsyncDispatchToWorkers([&seen, round](Worker& w) {
-          seen[static_cast<std::size_t>(w.machine())].push_back(
-              {round, MessageKind::kDispatch});
-          return Status::OK();
-        }));
-    futures.push_back((*cluster)->AsyncCollectFromWorkers(
-        [&seen, round](Worker& w) -> Result<std::int64_t> {
-          seen[static_cast<std::size_t>(w.machine())].push_back(
-              {round, MessageKind::kCollect});
-          return w.machine() * 10 + 1;
-        }));
-  }
-  for (Future<Unit>& f : futures) {
-    EXPECT_TRUE(f.Get().ok());
+    ASSERT_TRUE((*cluster)->BroadcastFactors(broadcast).ok());
+    CollectErrorsResponse response;
+    ASSERT_TRUE((*cluster)
+                    ->RunColumn(RunUpdateColumn{}, CollectErrorsRequest{},
+                                &response)
+                    .ok());
   }
 
   // Per-machine FIFO: broadcast, dispatch, collect of round r, then round
   // r+1 — exactly the enqueue order, independent of thread scheduling.
+  std::vector<MessageKind> expected;
+  for (int round = 0; round < kRounds; ++round) {
+    expected.insert(expected.end(),
+                    {MessageKind::kBroadcast, MessageKind::kDispatch,
+                     MessageKind::kCollect});
+  }
   for (int m = 0; m < kMachines; ++m) {
-    const std::vector<Delivery>& log = seen[static_cast<std::size_t>(m)];
-    ASSERT_EQ(log.size(), static_cast<std::size_t>(3 * kRounds))
+    EXPECT_EQ(endpoints[static_cast<std::size_t>(m)]->log(), expected)
         << "machine " << m;
-    for (int round = 0; round < kRounds; ++round) {
-      const std::size_t base = static_cast<std::size_t>(3 * round);
-      EXPECT_EQ(log[base], (Delivery{round, MessageKind::kBroadcast}));
-      EXPECT_EQ(log[base + 1], (Delivery{round, MessageKind::kDispatch}));
-      EXPECT_EQ(log[base + 2], (Delivery{round, MessageKind::kCollect}));
-    }
   }
 
   // Exactly-once ledger charging despite retries: one broadcast event per

@@ -4,10 +4,14 @@
 
 #include <atomic>
 #include <limits>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "dist/placement.h"
+#include "dist/transport/inproc.h"
 #include "dist/worker.h"
+#include "test_util.h"
 
 namespace dbtf {
 namespace {
@@ -191,18 +195,20 @@ TEST(Cluster, ResetVirtualTimeKeepsLedger) {
 TEST(Cluster, WorkerRegistryValidatesAttachment) {
   auto cluster = Cluster::Create(SmallConfig());
   ASSERT_TRUE(cluster.ok());
-  Worker w0(0);
-  Worker w0_dup(0);
   EXPECT_EQ((*cluster)->num_attached_workers(), 0);
-  EXPECT_TRUE((*cluster)->AttachWorker(0, &w0).ok());
+  auto endpoint = MakeInProcessEndpoint(std::make_shared<Worker>(0));
+  EXPECT_TRUE((*cluster)->AttachEndpoint(0, endpoint).ok());
   EXPECT_EQ((*cluster)->num_attached_workers(), 1);
-  EXPECT_EQ((*cluster)->AttachWorker(0, &w0_dup).code(),
+  EXPECT_EQ((*cluster)->EndpointOn(0), endpoint);
+  EXPECT_EQ((*cluster)->EndpointOn(1), nullptr);
+  const auto other = std::make_shared<testing::ScriptedEndpoint>(0);
+  EXPECT_EQ((*cluster)->AttachEndpoint(0, other).code(),
             StatusCode::kFailedPrecondition)
       << "one endpoint per machine";
-  EXPECT_EQ((*cluster)->AttachWorker(4, &w0).code(),
+  EXPECT_EQ((*cluster)->AttachEndpoint(4, endpoint).code(),
             StatusCode::kInvalidArgument)
       << "machine index out of range";
-  EXPECT_EQ((*cluster)->AttachWorker(1, nullptr).code(),
+  EXPECT_EQ((*cluster)->AttachEndpoint(1, nullptr).code(),
             StatusCode::kInvalidArgument);
   (*cluster)->DetachWorkers();
   EXPECT_EQ((*cluster)->num_attached_workers(), 0);
@@ -211,34 +217,30 @@ TEST(Cluster, WorkerRegistryValidatesAttachment) {
 TEST(Cluster, RoutingRequiresWorkers) {
   auto cluster = Cluster::Create(SmallConfig());
   ASSERT_TRUE(cluster.ok());
-  const auto noop = [](Worker&) { return Status::OK(); };
-  EXPECT_EQ((*cluster)->DispatchToWorkers(noop).code(),
+  EXPECT_EQ((*cluster)->BroadcastFactors(FactorDelta{}).code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ((*cluster)->BroadcastToWorkers(64, noop).code(),
+  CollectErrorsResponse response;
+  EXPECT_EQ((*cluster)
+                ->RunColumn(RunUpdateColumn{}, CollectErrorsRequest{},
+                            &response)
+                .code(),
             StatusCode::kFailedPrecondition);
-  const auto gather = [](Worker&) -> Result<std::int64_t> { return 0; };
-  EXPECT_EQ((*cluster)->CollectFromWorkers(gather).code(),
-            StatusCode::kFailedPrecondition);
+  QueryResponse answer;
+  EXPECT_EQ((*cluster)->QueryWorker(0, QueryRequest{}, &answer).code(),
+            StatusCode::kUnavailable)
+      << "a query names one machine; an absent one is a failover case";
 }
 
 TEST(Cluster, BroadcastChargesPerMachineAndDeliversToAll) {
   auto cluster = Cluster::Create(SmallConfig());
   ASSERT_TRUE(cluster.ok());
-  Worker w0(0);
-  Worker w2(2);
-  ASSERT_TRUE((*cluster)->AttachWorker(0, &w0).ok());
-  ASSERT_TRUE((*cluster)->AttachWorker(2, &w2).ok());
-  std::atomic<int> delivered{0};
-  ASSERT_TRUE((*cluster)
-                  ->BroadcastToWorkers(100,
-                                       [&delivered](Worker&) {
-                                         delivered.fetch_add(1);
-                                         return Status::OK();
-                                       })
-                  .ok());
-  EXPECT_EQ(delivered.load(), 2);
+  const auto endpoints = testing::AttachScripted(**cluster, {0, 2});
+  ASSERT_TRUE((*cluster)->BroadcastFactors(testing::SizedBroadcast(96)).ok());
+  for (const auto& endpoint : endpoints) {
+    EXPECT_EQ(endpoint->deliveries(MessageKind::kBroadcast), 1);
+  }
   const CommSnapshot snap = (*cluster)->comm().Snapshot();
-  EXPECT_EQ(snap.broadcast_bytes, 100 * 4)
+  EXPECT_EQ(snap.broadcast_bytes, 96 * 4)
       << "a broadcast is priced for every machine of the cluster";
   EXPECT_EQ(snap.broadcast_events, 1);
 }
@@ -246,31 +248,76 @@ TEST(Cluster, BroadcastChargesPerMachineAndDeliversToAll) {
 TEST(Cluster, CollectSumsWorkerBytesIntoOneEvent) {
   auto cluster = Cluster::Create(SmallConfig());
   ASSERT_TRUE(cluster.ok());
-  Worker w0(0);
-  Worker w1(1);
-  ASSERT_TRUE((*cluster)->AttachWorker(0, &w0).ok());
-  ASSERT_TRUE((*cluster)->AttachWorker(1, &w1).ok());
-  ASSERT_TRUE((*cluster)
-                  ->CollectFromWorkers([](Worker& w) -> Result<std::int64_t> {
-                    return w.machine() == 0 ? 30 : 12;
-                  })
-                  .ok());
+  const auto endpoints = testing::AttachScripted(**cluster, {0, 1});
+  endpoints[0]->collect_bytes = 30;
+  endpoints[1]->collect_bytes = 12;
+  CollectErrorsRequest request;
+  request.rows = 3;
+  CollectErrorsResponse response;
+  ASSERT_TRUE(
+      (*cluster)->RunColumn(RunUpdateColumn{}, request, &response).ok());
   const CommSnapshot snap = (*cluster)->comm().Snapshot();
   EXPECT_EQ(snap.collect_bytes, 42);
   EXPECT_EQ(snap.collect_events, 1);
+  // Machine m answers m + 1 per row; the driver sees the sum.
+  EXPECT_EQ(response.totals0, (std::vector<std::int64_t>{3, 3, 3}));
+  EXPECT_EQ(response.totals1, (std::vector<std::int64_t>{3, 3, 3}));
+  for (const auto& endpoint : endpoints) {
+    EXPECT_EQ(endpoint->log(),
+              (std::vector<MessageKind>{MessageKind::kDispatch,
+                                        MessageKind::kCollect}))
+        << "each machine runs its dispatch, then its collect";
+  }
 }
 
 TEST(Cluster, DispatchSurfacesWorkerErrors) {
   auto cluster = Cluster::Create(SmallConfig());
   ASSERT_TRUE(cluster.ok());
-  Worker w0(0);
-  Worker w1(1);
-  ASSERT_TRUE((*cluster)->AttachWorker(0, &w0).ok());
-  ASSERT_TRUE((*cluster)->AttachWorker(1, &w1).ok());
-  const Status status = (*cluster)->DispatchToWorkers([](Worker& w) {
-    return w.machine() == 1 ? Status::Internal("boom") : Status::OK();
-  });
+  const auto endpoints = testing::AttachScripted(**cluster, {0, 1});
+  endpoints[1]->Script(MessageKind::kDispatch, {Status::Internal("boom")});
+  CollectErrorsResponse response;
+  const Status status = (*cluster)->RunColumn(
+      RunUpdateColumn{}, CollectErrorsRequest{}, &response);
   EXPECT_EQ(status.code(), StatusCode::kInternal);
+}
+
+TEST(Cluster, HandlerCpuIsChargedToTheMachineClock) {
+  auto cluster = Cluster::Create(SmallConfig());
+  ASSERT_TRUE(cluster.ok());
+  const auto endpoints = testing::AttachScripted(**cluster, {1});
+  endpoints[0]->seconds_per_call = 0.25;
+  ASSERT_TRUE((*cluster)->BroadcastFactors(FactorDelta{}).ok());
+  CollectErrorsResponse response;
+  ASSERT_TRUE((*cluster)
+                  ->RunColumn(RunUpdateColumn{}, CollectErrorsRequest{},
+                              &response)
+                  .ok());
+  EXPECT_DOUBLE_EQ((*cluster)->MachineComputeSeconds(1), 0.75)
+      << "broadcast, dispatch and collect each report 0.25 s";
+  EXPECT_DOUBLE_EQ((*cluster)->MachineComputeSeconds(0), 0.0);
+}
+
+TEST(Cluster, QueryChargesOneRoundTripOnSuccessOnly) {
+  auto cluster = Cluster::Create(SmallConfig());
+  ASSERT_TRUE(cluster.ok());
+  const auto endpoints = testing::AttachScripted(**cluster, {2});
+  endpoints[0]->Script(MessageKind::kCollect,
+                       {Status::OK(), Status::Internal("bad query")});
+  QueryRequest request;
+  request.id = 7;
+  QueryResponse response;
+  ASSERT_TRUE((*cluster)->QueryWorker(2, request, &response).ok());
+  EXPECT_EQ(response.id, 7u);
+  CommSnapshot snap = (*cluster)->comm().Snapshot();
+  EXPECT_EQ(snap.query_events, 1);
+  EXPECT_EQ(snap.query_bytes, request.WireBytes() + response.WireBytes());
+
+  EXPECT_EQ((*cluster)->QueryWorker(2, request, &response).code(),
+            StatusCode::kInternal);
+  EXPECT_EQ((*cluster)->comm().Snapshot().query_events, 1)
+      << "a failed query charges nothing";
+  EXPECT_EQ((*cluster)->QueryWorker(4, request, &response).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(Placement, RoundRobinAndBlockPolicies) {

@@ -1,14 +1,33 @@
-#include "dbtf/factor_update.h"
+#include "dbtf/engine.h"
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <tuple>
+#include <utility>
 
 #include "common/random.h"
+#include "dbtf/partition.h"
+#include "dist/provision.h"
 #include "test_util.h"
 
 namespace dbtf {
 namespace {
+
+/// Provisions one worker per machine of `cluster` and moves the mode-1
+/// unfolding of `tensor`, in `partitions` slices, onto them — the way a
+/// Session places each mode. Returns the unfolding's shape.
+Result<UnfoldShape> PlaceModeOne(Cluster* cluster, const SparseTensor& tensor,
+                                 std::int64_t partitions) {
+  DBTF_ASSIGN_OR_RETURN(
+      PartitionedUnfolding unfolding,
+      PartitionedUnfolding::Build(tensor, Mode::kOne, partitions));
+  DBTF_RETURN_IF_ERROR(ProvisionWorkers(*cluster));
+  const UnfoldShape shape = unfolding.shape();
+  DBTF_RETURN_IF_ERROR(StorePartitions(
+      *cluster, Mode::kOne, std::move(unfolding).ReleasePartitions(), shape));
+  return shape;
+}
 
 struct UpdateFixture {
   SparseTensor tensor;
@@ -17,7 +36,10 @@ struct UpdateFixture {
   BitMatrix ms;
   std::unique_ptr<Cluster> cluster;
   DbtfConfig config;
+  UnfoldShape shape{0, 0, 0};
 
+  /// Builds the inputs of a mode-1 update and places the unfolding's
+  /// partitions on the cluster's workers.
   static UpdateFixture Make(std::int64_t di, std::int64_t dj, std::int64_t dk,
                             std::int64_t rank, std::int64_t partitions,
                             std::uint64_t seed, int v = 15) {
@@ -34,7 +56,13 @@ struct UpdateFixture {
     f.config.cluster.num_machines = 2;
     f.config.cluster.num_threads = 2;
     f.cluster = std::move(Cluster::Create(f.config.cluster).value());
+    f.shape = PlaceModeOne(f.cluster.get(), f.tensor, partitions).value();
     return f;
+  }
+
+  Result<UpdateFactorStats> Update() {
+    return RunFactorUpdate(cluster.get(), Mode::kOne, shape, &factor, mf, ms,
+                           config);
   }
 };
 
@@ -48,9 +76,6 @@ TEST_P(UpdateEquivalence, MatchesReferenceUpdate) {
   const auto [rank, partitions, v] = GetParam();
   UpdateFixture f = UpdateFixture::Make(18, 23, 15, rank, partitions,
                                         static_cast<std::uint64_t>(rank), v);
-  auto pu = PartitionedUnfolding::Build(f.tensor, Mode::kOne,
-                                        f.config.num_partitions);
-  ASSERT_TRUE(pu.ok());
   auto dense = DenseUnfold(f.tensor, Mode::kOne);
   ASSERT_TRUE(dense.ok());
 
@@ -58,8 +83,7 @@ TEST_P(UpdateEquivalence, MatchesReferenceUpdate) {
   const std::int64_t reference_error = testing::ReferenceUpdateFactor(
       *dense, &reference_factor, f.mf, f.ms);
 
-  auto stats =
-      UpdateFactor(*pu, &f.factor, f.mf, f.ms, f.config, f.cluster.get());
+  auto stats = f.Update();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(f.factor, reference_factor) << "bit-identical greedy decisions";
   EXPECT_EQ(stats->final_error, reference_error);
@@ -77,14 +101,8 @@ TEST(UpdateFactor, CachingAblationIsBitIdentical) {
   UpdateFixture cached = UpdateFixture::Make(16, 20, 12, 8, 3, 5);
   UpdateFixture uncached = UpdateFixture::Make(16, 20, 12, 8, 3, 5);
   uncached.config.enable_caching = false;
-  auto pu_c = PartitionedUnfolding::Build(cached.tensor, Mode::kOne, 3);
-  auto pu_u = PartitionedUnfolding::Build(uncached.tensor, Mode::kOne, 3);
-  ASSERT_TRUE(pu_c.ok() && pu_u.ok());
-  auto stats_c = UpdateFactor(*pu_c, &cached.factor, cached.mf, cached.ms,
-                              cached.config, cached.cluster.get());
-  auto stats_u = UpdateFactor(*pu_u, &uncached.factor, uncached.mf,
-                              uncached.ms, uncached.config,
-                              uncached.cluster.get());
+  auto stats_c = cached.Update();
+  auto stats_u = uncached.Update();
   ASSERT_TRUE(stats_c.ok() && stats_u.ok());
   EXPECT_EQ(cached.factor, uncached.factor);
   EXPECT_EQ(stats_c->final_error, stats_u->final_error);
@@ -108,42 +126,40 @@ TEST(UpdateFactor, GroundTruthFactorsReachZeroError) {
   config.cluster.num_threads = 1;
   auto cluster = Cluster::Create(config.cluster);
   ASSERT_TRUE(cluster.ok());
-  auto pu = PartitionedUnfolding::Build(*x, Mode::kOne, 3);
-  ASSERT_TRUE(pu.ok());
+  auto shape = PlaceModeOne(cluster->get(), *x, 3);
+  ASSERT_TRUE(shape.ok());
   // Starting AT the ground truth, the update may never leave zero error
   // (the current value is always among the candidates).
   BitMatrix factor = a;
-  auto stats = UpdateFactor(*pu, &factor, c, b, config, cluster->get());
+  auto stats = RunFactorUpdate(cluster->get(), Mode::kOne, *shape, &factor, c,
+                               b, config);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->final_error, 0);
   // Starting from all-zero, one greedy sweep must land very close to zero
   // (greedy column order can leave a few residual cells).
   BitMatrix from_zero(14, 5);
-  auto stats_zero = UpdateFactor(*pu, &from_zero, c, b, config, cluster->get());
+  auto stats_zero = RunFactorUpdate(cluster->get(), Mode::kOne, *shape,
+                                    &from_zero, c, b, config);
   ASSERT_TRUE(stats_zero.ok());
   EXPECT_LE(stats_zero->final_error, x->NumNonZeros() / 20);
 }
 
 TEST(UpdateFactor, ErrorNeverIncreasesAcrossRepeatedCalls) {
   UpdateFixture f = UpdateFixture::Make(20, 24, 18, 6, 4, 9);
-  auto pu = PartitionedUnfolding::Build(f.tensor, Mode::kOne, 4);
-  ASSERT_TRUE(pu.ok());
   std::int64_t previous = -1;
   for (int round = 0; round < 4; ++round) {
-    auto stats =
-        UpdateFactor(*pu, &f.factor, f.mf, f.ms, f.config, f.cluster.get());
+    auto stats = f.Update();
     ASSERT_TRUE(stats.ok());
-    if (previous >= 0) EXPECT_LE(stats->final_error, previous);
+    if (previous >= 0) {
+      EXPECT_LE(stats->final_error, previous);
+    }
     previous = stats->final_error;
   }
 }
 
 TEST(UpdateFactor, ChargesCommunication) {
   UpdateFixture f = UpdateFixture::Make(16, 16, 16, 4, 2, 3);
-  auto pu = PartitionedUnfolding::Build(f.tensor, Mode::kOne, 2);
-  ASSERT_TRUE(pu.ok());
-  auto stats =
-      UpdateFactor(*pu, &f.factor, f.mf, f.ms, f.config, f.cluster.get());
+  auto stats = f.Update();
   ASSERT_TRUE(stats.ok());
   const CommSnapshot snap = f.cluster->comm().Snapshot();
   EXPECT_GT(snap.broadcast_bytes, 0);
@@ -154,20 +170,16 @@ TEST(UpdateFactor, ChargesCommunication) {
 
 TEST(UpdateFactor, ValidatesShapes) {
   UpdateFixture f = UpdateFixture::Make(16, 16, 16, 4, 2, 11);
-  auto pu = PartitionedUnfolding::Build(f.tensor, Mode::kOne, 2);
-  ASSERT_TRUE(pu.ok());
+  const auto update = [&f](BitMatrix* factor, const BitMatrix& ms) {
+    return RunFactorUpdate(f.cluster.get(), Mode::kOne, f.shape, factor, f.mf,
+                           ms, f.config);
+  };
   BitMatrix wrong_rank(16, 5);
-  EXPECT_FALSE(
-      UpdateFactor(*pu, &wrong_rank, f.mf, f.ms, f.config, f.cluster.get())
-          .ok());
+  EXPECT_FALSE(update(&wrong_rank, f.ms).ok());
   BitMatrix wrong_rows(15, 4);
-  EXPECT_FALSE(
-      UpdateFactor(*pu, &wrong_rows, f.mf, f.ms, f.config, f.cluster.get())
-          .ok());
+  EXPECT_FALSE(update(&wrong_rows, f.ms).ok());
   BitMatrix wrong_ms(17, 4);
-  EXPECT_FALSE(
-      UpdateFactor(*pu, &f.factor, f.mf, wrong_ms, f.config, f.cluster.get())
-          .ok());
+  EXPECT_FALSE(update(&f.factor, wrong_ms).ok());
 }
 
 }  // namespace

@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -12,9 +12,9 @@
 #include "dbtf/partition.h"
 #include "dist/cluster.h"
 #include "dist/provision.h"
-#include "dist/worker.h"
 #include "generator/generator.h"
 #include "tensor/unfold.h"
+#include "test_util.h"
 
 namespace dbtf {
 namespace {
@@ -228,22 +228,25 @@ TEST(ClusterFaults, ConfigValidatesPlanAndPolicy) {
   EXPECT_FALSE(config.Validate().ok());
 }
 
+/// One column step (dispatch + collect) over whatever endpoints are attached.
+Status RunOneColumn(Cluster& cluster, CollectErrorsResponse* response,
+                    std::int64_t rows = 0) {
+  CollectErrorsRequest request;
+  request.rows = rows;
+  return cluster.RunColumn(RunUpdateColumn{}, request, response);
+}
+
 TEST(ClusterFaults, TransientFaultIsRetriedTransparently) {
   auto cluster = Cluster::Create(FaultyConfig("1:dispatch:transient@1"));
   ASSERT_TRUE(cluster.ok());
-  Worker w0(0);
-  Worker w1(1);
-  ASSERT_TRUE((*cluster)->AttachWorker(0, &w0).ok());
-  ASSERT_TRUE((*cluster)->AttachWorker(1, &w1).ok());
-  std::atomic<int> delivered{0};
-  ASSERT_TRUE((*cluster)
-                  ->DispatchToWorkers([&delivered](Worker&) {
-                    delivered.fetch_add(1);
-                    return Status::OK();
-                  })
-                  .ok())
+  const auto endpoints = testing::AttachScripted(**cluster, {0, 1});
+  CollectErrorsResponse response;
+  ASSERT_TRUE(RunOneColumn(**cluster, &response).ok())
       << "one transient fault is absorbed by the retry policy";
-  EXPECT_EQ(delivered.load(), 2) << "every worker saw exactly one delivery";
+  for (const auto& endpoint : endpoints) {
+    EXPECT_EQ(endpoint->deliveries(MessageKind::kDispatch), 1)
+        << "every worker saw exactly one delivery";
+  }
   const RecoveryStats stats = (*cluster)->recovery().Snapshot();
   EXPECT_EQ(stats.failed_deliveries, 1);
   EXPECT_EQ(stats.retries, 1);
@@ -253,23 +256,29 @@ TEST(ClusterFaults, TransientFaultIsRetriedTransparently) {
 }
 
 TEST(ClusterFaults, CollectRetryNeverDoubleCounts) {
-  auto cluster = Cluster::Create(FaultyConfig("0:collect:transient@1"));
+  // Machine 1's first collect is absorbed by the injector before the
+  // handler runs; machine 0's first collect reaches the endpoint, which
+  // fills its reply and then fails retryably. Only the successful attempts
+  // may reach the merged response and the ledger.
+  auto cluster = Cluster::Create(FaultyConfig("1:collect:transient@1"));
   ASSERT_TRUE(cluster.ok());
-  Worker w0(0);
-  Worker w1(1);
-  ASSERT_TRUE((*cluster)->AttachWorker(0, &w0).ok());
-  ASSERT_TRUE((*cluster)->AttachWorker(1, &w1).ok());
-  int gathers = 0;
-  ASSERT_TRUE((*cluster)
-                  ->CollectFromWorkers([&gathers](Worker&) -> Result<std::int64_t> {
-                    ++gathers;
-                    return 10;
-                  })
-                  .ok());
-  EXPECT_EQ(gathers, 2) << "the faulted attempt never reached the gather";
-  EXPECT_EQ((*cluster)->comm().Snapshot().collect_bytes, 20)
+  const auto endpoints = testing::AttachScripted(**cluster, {0, 1});
+  endpoints[0]->Script(MessageKind::kCollect,
+                       {Status::Unavailable("reply lost")});
+  for (const auto& endpoint : endpoints) endpoint->collect_bytes = 10;
+  CollectErrorsResponse response;
+  ASSERT_TRUE(RunOneColumn(**cluster, &response, /*rows=*/2).ok());
+  EXPECT_EQ(endpoints[0]->deliveries(MessageKind::kCollect), 2);
+  EXPECT_EQ(endpoints[1]->deliveries(MessageKind::kCollect), 1)
+      << "the injected fault never reached the handler";
+  EXPECT_EQ(response.totals0, (std::vector<std::int64_t>{3, 3}))
+      << "each machine's totals (m + 1 per row) are merged exactly once";
+  EXPECT_EQ(response.wire_bytes, 20);
+  const CommSnapshot snap = (*cluster)->comm().Snapshot();
+  EXPECT_EQ(snap.collect_bytes, 20)
       << "each worker's payload is charged exactly once";
-  EXPECT_EQ((*cluster)->recovery().Snapshot().retries, 1);
+  EXPECT_EQ(snap.collect_events, 1);
+  EXPECT_EQ((*cluster)->recovery().Snapshot().retries, 2);
 }
 
 TEST(ClusterFaults, StallPastDeadlineIsRetried) {
@@ -277,16 +286,10 @@ TEST(ClusterFaults, StallPastDeadlineIsRetried) {
   config.retry.message_deadline_seconds = 0.25;
   auto cluster = Cluster::Create(config);
   ASSERT_TRUE(cluster.ok());
-  Worker w0(0);
-  ASSERT_TRUE((*cluster)->AttachWorker(0, &w0).ok());
-  std::atomic<int> delivered{0};
-  ASSERT_TRUE((*cluster)
-                  ->DispatchToWorkers([&delivered](Worker&) {
-                    delivered.fetch_add(1);
-                    return Status::OK();
-                  })
-                  .ok());
-  EXPECT_EQ(delivered.load(), 1);
+  const auto endpoints = testing::AttachScripted(**cluster, {0});
+  CollectErrorsResponse response;
+  ASSERT_TRUE(RunOneColumn(**cluster, &response).ok());
+  EXPECT_EQ(endpoints[0]->deliveries(MessageKind::kDispatch), 1);
   // The stall is charged to the machine's virtual clock even though the
   // delivery was abandoned at the deadline.
   EXPECT_GE((*cluster)->MachineComputeSeconds(0), 0.5);
@@ -298,36 +301,27 @@ TEST(ClusterFaults, StallPastDeadlineIsRetried) {
 TEST(ClusterFaults, ShortStallOnlyCostsVirtualTime) {
   auto cluster = Cluster::Create(FaultyConfig("0:dispatch:stall@1~0.01"));
   ASSERT_TRUE(cluster.ok());
-  Worker w0(0);
-  ASSERT_TRUE((*cluster)->AttachWorker(0, &w0).ok());
-  std::atomic<int> delivered{0};
-  ASSERT_TRUE((*cluster)
-                  ->DispatchToWorkers([&delivered](Worker&) {
-                    delivered.fetch_add(1);
-                    return Status::OK();
-                  })
-                  .ok());
-  EXPECT_EQ(delivered.load(), 1) << "a stall under the deadline goes through";
+  const auto endpoints = testing::AttachScripted(**cluster, {0});
+  CollectErrorsResponse response;
+  ASSERT_TRUE(RunOneColumn(**cluster, &response).ok());
+  EXPECT_EQ(endpoints[0]->deliveries(MessageKind::kDispatch), 1)
+      << "a stall under the deadline goes through";
   EXPECT_GE((*cluster)->MachineComputeSeconds(0), 0.01);
   EXPECT_EQ((*cluster)->recovery().Snapshot().retries, 0);
 }
 
 TEST(ClusterFaults, ExhaustedRetryBudgetSurfacesCleanUnavailable) {
-  ClusterConfig config = FaultyConfig("0:dispatch:transient@1x10");
+  ClusterConfig config = FaultyConfig("0:broadcast:transient@1x10");
   config.retry.max_attempts = 3;
   auto cluster = Cluster::Create(config);
   ASSERT_TRUE(cluster.ok());
-  Worker w0(0);
-  ASSERT_TRUE((*cluster)->AttachWorker(0, &w0).ok());
-  std::atomic<int> delivered{0};
-  const Status status = (*cluster)->DispatchToWorkers([&delivered](Worker&) {
-    delivered.fetch_add(1);
-    return Status::OK();
-  });
+  const auto endpoints = testing::AttachScripted(**cluster, {0});
+  const Status status = (*cluster)->BroadcastFactors(FactorDelta{});
   EXPECT_EQ(status.code(), StatusCode::kUnavailable);
   EXPECT_NE(status.message().find("retry budget exhausted"), std::string::npos)
       << status.ToString();
-  EXPECT_EQ(delivered.load(), 0) << "every attempt was absorbed by the fault";
+  EXPECT_EQ(endpoints[0]->deliveries(MessageKind::kBroadcast), 0)
+      << "every attempt was absorbed by the fault";
   const RecoveryStats stats = (*cluster)->recovery().Snapshot();
   EXPECT_EQ(stats.failed_deliveries, 3);
   EXPECT_EQ(stats.retries, 2);
@@ -337,65 +331,72 @@ TEST(ClusterFaults, ExhaustedRetryBudgetSurfacesCleanUnavailable) {
 TEST(ClusterFaults, FatalHandlerErrorsAreNotRetried) {
   auto cluster = Cluster::Create(FaultyConfig("1:dispatch:transient@1"));
   ASSERT_TRUE(cluster.ok());
-  Worker w0(0);
-  ASSERT_TRUE((*cluster)->AttachWorker(0, &w0).ok());
-  int calls = 0;
-  const Status status = (*cluster)->DispatchToWorkers([&calls](Worker&) {
-    ++calls;
-    return Status::Internal("corrupt partition");
-  });
-  EXPECT_EQ(status.code(), StatusCode::kInternal);
-  EXPECT_EQ(calls, 1) << "fatal codes surface immediately";
+  const auto endpoints = testing::AttachScripted(**cluster, {0});
+  endpoints[0]->Script(MessageKind::kDispatch,
+                       {Status::Internal("corrupt partition")});
+  CollectErrorsResponse response;
+  EXPECT_EQ(RunOneColumn(**cluster, &response).code(), StatusCode::kInternal);
+  EXPECT_EQ(endpoints[0]->deliveries(MessageKind::kDispatch), 1)
+      << "fatal codes surface immediately";
   EXPECT_EQ((*cluster)->recovery().Snapshot().retries, 0);
 }
 
 TEST(ClusterFaults, CrashDetachesEndpointAndReportsDeadMachine) {
   auto cluster = Cluster::Create(FaultyConfig("1:dispatch:crash@1"));
   ASSERT_TRUE(cluster.ok());
-  Worker w0(0);
-  Worker w1(1);
-  ASSERT_TRUE((*cluster)->AttachWorker(0, &w0).ok());
-  ASSERT_TRUE((*cluster)->AttachWorker(1, &w1).ok());
+  const auto endpoints = testing::AttachScripted(**cluster, {0, 1});
   EXPECT_TRUE((*cluster)->DeadMachines().empty());
 
-  const Status status =
-      (*cluster)->DispatchToWorkers([](Worker&) { return Status::OK(); });
-  EXPECT_EQ(status.code(), StatusCode::kUnavailable);
+  CollectErrorsResponse response;
+  EXPECT_EQ(RunOneColumn(**cluster, &response).code(),
+            StatusCode::kUnavailable);
   EXPECT_EQ((*cluster)->DeadMachines(), std::vector<int>{1});
   EXPECT_EQ((*cluster)->num_attached_workers(), 1)
       << "the dead machine's endpoint is detached";
-  EXPECT_EQ((*cluster)->AttachedWorkerOn(1), nullptr);
-  EXPECT_EQ((*cluster)->AttachWorker(1, &w1).code(),
+  EXPECT_EQ((*cluster)->EndpointOn(1), nullptr);
+  EXPECT_EQ((*cluster)->AttachEndpoint(1, endpoints[1]).code(),
             StatusCode::kFailedPrecondition)
       << "a dead machine's endpoint can never be re-attached";
+  EXPECT_EQ(endpoints[1]->deliveries(MessageKind::kDispatch), 0);
+  EXPECT_EQ(endpoints[1]->deliveries(MessageKind::kCollect), 0)
+      << "the collect queued behind the crash never reaches the dead machine";
   const RecoveryStats stats = (*cluster)->recovery().Snapshot();
   EXPECT_EQ(stats.machines_lost, 1);
 
   // The survivor keeps routing.
-  std::atomic<int> delivered{0};
-  ASSERT_TRUE((*cluster)
-                  ->DispatchToWorkers([&delivered](Worker&) {
-                    delivered.fetch_add(1);
-                    return Status::OK();
-                  })
-                  .ok());
-  EXPECT_EQ(delivered.load(), 1);
+  ASSERT_TRUE(RunOneColumn(**cluster, &response).ok());
+  EXPECT_EQ(endpoints[0]->deliveries(MessageKind::kDispatch), 2);
+}
+
+TEST(ClusterFaults, TransportFailureIsAMachineLoss) {
+  ClusterConfig config;
+  config.num_machines = 2;
+  config.num_threads = 2;
+  auto cluster = Cluster::Create(config);
+  ASSERT_TRUE(cluster.ok());
+  const auto endpoints = testing::AttachScripted(**cluster, {0, 1});
+  endpoints[1]->Script(MessageKind::kBroadcast,
+                       {Status::IoError("connection reset")});
+  EXPECT_EQ((*cluster)->BroadcastFactors(FactorDelta{}).code(),
+            StatusCode::kUnavailable);
+  EXPECT_EQ((*cluster)->DeadMachines(), std::vector<int>{1});
+  EXPECT_EQ(endpoints[1]->deliveries(MessageKind::kBroadcast), 1)
+      << "a transport failure is never redelivered";
+  EXPECT_EQ((*cluster)->recovery().Snapshot().machines_lost, 1);
 }
 
 TEST(ClusterFaults, RoutingAfterTotalLossIsUnavailableNotUsageError) {
   auto cluster = Cluster::Create(FaultyConfig("1:dispatch:crash@1"));
   ASSERT_TRUE(cluster.ok());
-  Worker w1(1);
-  ASSERT_TRUE((*cluster)->AttachWorker(1, &w1).ok());
-  EXPECT_EQ((*cluster)
-                ->DispatchToWorkers([](Worker&) { return Status::OK(); })
-                .code(),
+  const auto endpoints = testing::AttachScripted(**cluster, {1});
+  CollectErrorsResponse response;
+  EXPECT_EQ(RunOneColumn(**cluster, &response).code(),
             StatusCode::kUnavailable);
   // The only endpoint died: routing now reports kUnavailable (retryable, the
   // driver may re-provision) instead of kFailedPrecondition (usage error).
-  EXPECT_EQ((*cluster)
-                ->DispatchToWorkers([](Worker&) { return Status::OK(); })
-                .code(),
+  EXPECT_EQ(RunOneColumn(**cluster, &response).code(),
+            StatusCode::kUnavailable);
+  EXPECT_EQ((*cluster)->BroadcastFactors(FactorDelta{}).code(),
             StatusCode::kUnavailable);
 }
 
@@ -415,7 +416,7 @@ PlantedTensor MakePlanted(std::uint64_t seed) {
 TEST(Reprovision, RebuildsLostPartitionsOntoSurvivors) {
   const PlantedTensor p = MakePlanted(51);
   auto cluster =
-      Cluster::Create(FaultyConfig("1:dispatch:crash@1", /*machines=*/2));
+      Cluster::Create(FaultyConfig("1:broadcast:crash@1", /*machines=*/2));
   ASSERT_TRUE(cluster.ok());
   ASSERT_TRUE(ProvisionWorkers(**cluster).ok());
 
@@ -430,10 +431,10 @@ TEST(Reprovision, RebuildsLostPartitionsOntoSurvivors) {
   const CommSnapshot before = (*cluster)->comm().Snapshot();
 
   // Machine 1 — round-robin owner of the odd partitions — crashes on its
-  // first dispatch delivery.
-  EXPECT_EQ((*cluster)
-                ->DispatchToWorkers([](Worker&) { return Status::OK(); })
-                .code(),
+  // first broadcast delivery (an apply-only delta: no factor update follows).
+  FactorDelta apply_only;
+  apply_only.apply_only = true;
+  EXPECT_EQ((*cluster)->BroadcastFactors(apply_only).code(),
             StatusCode::kUnavailable);
   ASSERT_EQ((*cluster)->DeadMachines(), std::vector<int>{1});
 
@@ -451,11 +452,12 @@ TEST(Reprovision, RebuildsLostPartitionsOntoSurvivors) {
   EXPECT_EQ(rebuilds, 1);
 
   // Full coverage is restored on the survivor.
-  Worker* survivor = (*cluster)->AttachedWorkerOn(0);
+  std::shared_ptr<WorkerEndpoint> survivor = (*cluster)->EndpointOn(0);
   ASSERT_NE(survivor, nullptr);
-  ASSERT_EQ(survivor->NumLocalPartitions(Mode::kOne), num_partitions);
-  std::vector<std::int64_t> indexes =
-      survivor->LocalPartitionIndexes(Mode::kOne);
+  auto resident = survivor->ListPartitions(Mode::kOne, nullptr);
+  ASSERT_TRUE(resident.ok());
+  std::vector<std::int64_t> indexes = *std::move(resident);
+  ASSERT_EQ(static_cast<std::int64_t>(indexes.size()), num_partitions);
   std::sort(indexes.begin(), indexes.end());
   for (std::int64_t i = 0; i < num_partitions; ++i) {
     EXPECT_EQ(indexes[static_cast<std::size_t>(i)], i);

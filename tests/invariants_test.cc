@@ -79,11 +79,11 @@ TEST(PartitionInvariantsDeathTest, SliceWidthMismatchDies) {
                "rows.cols\\(\\) == b.width\\(\\) \\(64 vs. 128\\)");
 }
 
-TEST(PartitionInvariantsDeathTest, BorrowedPartitionIsCheckedToo) {
+TEST(PartitionInvariantsDeathTest, WithinEndPastThePvmProductDies) {
   Worker worker(0);
   Partition bad = ValidPartition();
   bad.blocks[0].within_end = kShape.within + 64;  // past the PVM product
-  EXPECT_DEATH(worker.BorrowPartition(Mode::kOne, 0, &bad, kShape),
+  EXPECT_DEATH(worker.AdoptPartition(Mode::kOne, 0, std::move(bad), kShape),
                "within_end <= shape.within");
 }
 

@@ -1,8 +1,10 @@
 #include "common/serde.h"
 
+#include <fcntl.h>
 #include <pthread.h>
 #include <signal.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -822,6 +824,75 @@ TEST(WireFrameTest, SocketWriteSendsTheEncodedFrameAcrossInterrupts) {
   EXPECT_TRUE(frame->frame.payload.empty());
   ::close(fds[0]);
   ::close(fds[1]);
+}
+
+TEST(WireFrameTest, SocketWriteRetriesAnInterruptBeforeAnyByteGoesOut) {
+  // With the send buffer already full, a signal that interrupts the blocked
+  // sendmsg lands before any frame byte has gone out, so the call fails
+  // with EINTR instead of returning a short count. WriteFrameTo must retry
+  // it; the reader signals the writer many times before it drains a byte.
+  struct sigaction action {};
+  action.sa_handler = [](int) {};
+  sigemptyset(&action.sa_mask);
+  action.sa_flags = 0;  // no SA_RESTART: the send must see the signal
+  struct sigaction previous {};
+  ASSERT_EQ(::sigaction(SIGUSR1, &action, &previous), 0);
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  // A reader that gives up after 2 s, so a writer that fails cannot leave
+  // it waiting for a frame that never comes.
+  const timeval timeout{2, 0};
+  ASSERT_EQ(::setsockopt(fds[1], SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout)),
+            0);
+
+  // Fill the send buffer without blocking, then make the socket blocking.
+  const int flags = ::fcntl(fds[0], F_GETFL);
+  ASSERT_EQ(::fcntl(fds[0], F_SETFL, flags | O_NONBLOCK), 0);
+  const std::vector<std::uint8_t> filler(4096, 0xAB);
+  std::size_t prefilled = 0;
+  for (;;) {
+    const ssize_t n =
+        ::send(fds[0], filler.data(), filler.size(), MSG_NOSIGNAL);
+    if (n < 0) {
+      ASSERT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK) << errno;
+      break;
+    }
+    prefilled += static_cast<std::size_t>(n);
+  }
+  ASSERT_EQ(::fcntl(fds[0], F_SETFL, flags), 0);
+
+  const std::vector<std::uint8_t> body = SplitMixBytes(1024, 9);
+  ByteWriter payload;
+  payload.WriteBytes(body.data(), body.size());
+  const std::vector<std::uint8_t> expected =
+      EncodeFrame(WireKind::kStorePartition, payload);
+
+  const pthread_t writer = ::pthread_self();
+  std::vector<std::uint8_t> received;
+  std::thread reader([&] {
+    for (int i = 0; i < 20; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      ::pthread_kill(writer, SIGUSR1);
+    }
+    std::vector<std::uint8_t> chunk(64 << 10);
+    while (received.size() < prefilled + expected.size()) {
+      const ssize_t n = ::recv(fds[1], chunk.data(), chunk.size(), 0);
+      if (n <= 0) break;
+      received.insert(received.end(), chunk.begin(), chunk.begin() + n);
+    }
+  });
+  const Status written =
+      WriteFrameTo(fds[0], WireKind::kStorePartition, payload);
+  reader.join();
+  ::sigaction(SIGUSR1, &previous, nullptr);
+  ::close(fds[0]);
+  ::close(fds[1]);
+  ASSERT_TRUE(written.ok()) << written.ToString();
+  ASSERT_EQ(received.size(), prefilled + expected.size());
+  EXPECT_EQ(std::vector<std::uint8_t>(received.begin() + prefilled,
+                                      received.end()),
+            expected);
 }
 
 }  // namespace

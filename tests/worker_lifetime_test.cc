@@ -1,23 +1,81 @@
-// Regression test for the detach-during-dispatch lifetime rule: workers the
-// cluster owns (attached via the shared_ptr overload, as dist/provision.h
-// does) must stay alive while a routing call is still running handlers on
-// them, even if another thread calls DetachWorkers mid-flight. Routing
-// snapshots share ownership, so the handler below keeps touching its worker
-// after the detach without a use-after-free (run under ASan/TSan in CI).
+// Regression test for the detach-during-dispatch lifetime rule: endpoints
+// the cluster owns must stay alive, together with the Worker behind them,
+// while a routing call is still running handlers on them, even if another
+// thread calls DetachWorkers mid-flight. Routing snapshots share ownership,
+// so the handler below keeps touching its worker after the detach without a
+// use-after-free (run under ASan/TSan in CI).
 
 #include <atomic>
 #include <chrono>
 #include <memory>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "dist/cluster.h"
 #include "dist/provision.h"
+#include "dist/transport/inproc.h"
 #include "dist/worker.h"
+#include "test_util.h"
 
 namespace dbtf {
 namespace {
+
+/// In-process endpoint whose broadcast handler announces itself and then
+/// holds until the test has detached every endpoint, before it reaches the
+/// Worker behind it.
+class GatedEndpoint final : public WorkerEndpoint {
+ public:
+  struct Gate {
+    std::atomic<int> entered{0};
+    std::atomic<bool> detached{false};
+  };
+
+  GatedEndpoint(int machine, Gate* gate)
+      : inner_(MakeInProcessEndpoint(std::make_shared<Worker>(machine))),
+        gate_(gate) {}
+
+  int machine() const override { return inner_->machine(); }
+
+  Status Deliver(const FactorDelta& msg, double* compute_seconds) override {
+    gate_->entered.fetch_add(1);
+    while (!gate_->detached.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    // The registry is empty by now; the snapshot must still keep this
+    // endpoint and its worker alive and readable.
+    auto resident = inner_->ListPartitions(Mode::kOne, nullptr);
+    EXPECT_TRUE(resident.ok());
+    EXPECT_TRUE(resident->empty());
+    return inner_->Deliver(msg, compute_seconds);
+  }
+  Status Deliver(const RunUpdateColumn& msg,
+                 double* compute_seconds) override {
+    return inner_->Deliver(msg, compute_seconds);
+  }
+  Status Collect(const CollectErrorsRequest& msg,
+                 CollectErrorsResponse* response,
+                 double* compute_seconds) override {
+    return inner_->Collect(msg, response, compute_seconds);
+  }
+  Status Query(const QueryRequest& msg, QueryResponse* response,
+               double* compute_seconds) override {
+    return inner_->Query(msg, response, compute_seconds);
+  }
+  Status Store(StorePartitionRequest msg, double* compute_seconds) override {
+    return inner_->Store(std::move(msg), compute_seconds);
+  }
+  Result<std::vector<std::int64_t>> ListPartitions(
+      Mode mode, double* compute_seconds) override {
+    return inner_->ListPartitions(mode, compute_seconds);
+  }
+
+ private:
+  std::shared_ptr<WorkerEndpoint> inner_;
+  Gate* gate_;
+};
 
 TEST(WorkerLifetimeTest, DetachDuringDispatchKeepsOwnedWorkersAlive) {
   ClusterConfig config;
@@ -26,33 +84,26 @@ TEST(WorkerLifetimeTest, DetachDuringDispatchKeepsOwnedWorkersAlive) {
   auto cluster_or = Cluster::Create(config);
   ASSERT_TRUE(cluster_or.ok());
   Cluster& cluster = *cluster_or.value();
-  ASSERT_TRUE(ProvisionWorkers(cluster).ok());
-  ASSERT_EQ(cluster.num_attached_workers(), 2);
-
-  std::atomic<int> entered{0};
-  std::atomic<bool> detached{false};
+  GatedEndpoint::Gate gate;
+  // The cluster holds the only references to the endpoints and workers.
+  for (int m = 0; m < 2; ++m) {
+    ASSERT_TRUE(
+        cluster.AttachEndpoint(m, std::make_shared<GatedEndpoint>(m, &gate))
+            .ok());
+  }
 
   std::thread dispatcher([&] {
-    const Status status = cluster.DispatchToWorkers([&](Worker& w) {
-      entered.fetch_add(1);
-      while (!detached.load()) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-      // The registry is empty by now; the snapshot must still keep this
-      // worker alive and readable.
-      EXPECT_GE(w.machine(), 0);
-      EXPECT_EQ(w.NumLocalPartitions(Mode::kOne), 0);
-      return Status::OK();
-    });
-    EXPECT_TRUE(status.ok());
+    FactorDelta msg;
+    msg.apply_only = true;
+    EXPECT_TRUE(cluster.BroadcastFactors(msg).ok());
   });
 
-  while (entered.load() < 2) {
+  while (gate.entered.load() < 2) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   cluster.DetachWorkers();
   EXPECT_EQ(cluster.num_attached_workers(), 0);
-  detached.store(true);
+  gate.detached.store(true);
   dispatcher.join();
 }
 
@@ -63,10 +114,9 @@ TEST(WorkerLifetimeTest, ProvisionFailsOnOccupiedClusterAndRollsBack) {
   ASSERT_TRUE(cluster_or.ok());
   Cluster& cluster = *cluster_or.value();
 
-  // Machine 0 already has a caller-owned endpoint: provisioning must fail
+  // Machine 0 already has a caller-attached endpoint: provisioning must fail
   // and detach whatever it managed to attach, leaving the cluster idle.
-  Worker external(0);
-  ASSERT_TRUE(cluster.AttachWorker(0, &external).ok());
+  testing::AttachScripted(cluster, {0});
   EXPECT_FALSE(ProvisionWorkers(cluster).ok());
   EXPECT_EQ(cluster.num_attached_workers(), 0);
 }

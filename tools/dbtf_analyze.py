@@ -452,8 +452,9 @@ def extract_members(class_body: list[Token]) -> list[tuple[str, int, str]]:
                     continue
                 if tk.text == "<":
                     angle += 1
-                elif tk.text == ">" and angle > 0:
-                    angle -= 1
+                elif tk.text in (">", ">>") and angle > 0:
+                    # '>>' closes two template argument lists at once.
+                    angle = max(0, angle - len(tk.text))
                 elif tk.text == ";" and angle == 0:
                     stmt.append(tk)
                     i += 1

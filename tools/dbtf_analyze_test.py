@@ -68,6 +68,19 @@ class StructureTest(unittest.TestCase):
         names = [m[0] for m in dbtf_analyze.extract_members(cls.body)]
         self.assertEqual(names, ["mu_", "count_"])
 
+    def test_nested_template_close_ends_the_declaration(self):
+        # A '>>' token closes two argument lists; counting it as none let a
+        # method declaration swallow every member after it.
+        sf = dbtf_analyze.SourceFile("src/x.h", (
+            "class C {\n"
+            "  Result<std::vector<Status>> Run(int rounds);\n"
+            "  Mutex mu_;\n"
+            "  int count_ DBTF_GUARDED_BY(mu_) = 0;\n"
+            "};\n"))
+        cls = dbtf_analyze.extract_classes(sf.tokens)[0]
+        names = [m[0] for m in dbtf_analyze.extract_members(cls.body)]
+        self.assertEqual(names, ["mu_", "count_"])
+
     def test_out_of_line_method_gets_class_qualifier(self):
         sf = dbtf_analyze.SourceFile(
             "src/x.cc", "int C::F(int x) { return x; }\n")

@@ -4,10 +4,10 @@
 Scans src/**/*.{h,cc} and enforces the layering and locking discipline of
 the driver/worker runtime (see DESIGN.md, "Correctness tooling"):
 
-  worker-include      dist/worker.h may be included only inside src/dist/
-                      and by src/dbtf/engine.cc (the routing call sites).
-                      Driver code must go through Cluster routing and the
-                      provisioning seam (dist/provision.h).
+  worker-include      dist/worker.h may be included only inside src/dist/.
+                      Driver code (the engine included) must go through
+                      Cluster's typed routing and the provisioning seam
+                      (dist/provision.h).
   naked-mutex         every mutex member (std::mutex or dbtf::Mutex, named
                       with a trailing underscore) must guard something: the
                       declaring file must annotate at least one member with
@@ -122,7 +122,7 @@ def check_file(rel: str, text: str) -> list[tuple[int, str, str]]:
     findings = []
     lines = strip_comments(text).split("\n")
 
-    allow_worker_include = rel.startswith("dist/") or rel == "dbtf/engine.cc"
+    allow_worker_include = rel.startswith("dist/")
     allow_thread = rel in ("dist/thread_pool.h", "dist/thread_pool.cc")
     allow_comm_mutation = rel == "dist/cluster.cc"
     # The fault seam itself and the retrying router are the only places that
@@ -154,9 +154,8 @@ def check_file(rel: str, text: str) -> list[tuple[int, str, str]]:
         if not allow_worker_include and WORKER_INCLUDE_RE.search(line):
             findings.append((
                 lineno, "worker-include",
-                "dist/worker.h is only visible to src/dist/ and "
-                "src/dbtf/engine.cc; drive workers through Cluster routing "
-                "or dist/provision.h"))
+                "dist/worker.h is only visible to src/dist/; drive workers "
+                "through Cluster routing or dist/provision.h"))
         if check_mutex_members:
             m = MUTEX_MEMBER_RE.match(line)
             if m and m.group(1) not in guarded:

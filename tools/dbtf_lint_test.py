@@ -30,6 +30,16 @@ class FixtureTest(unittest.TestCase):
         self.assertEqual(len(diagnostics), 1)
         self.assertIn("src/dbtf/session.h:6:", diagnostics[0])
 
+    def test_engine_may_not_include_worker(self):
+        # The engine routes typed messages only; it has no exemption.
+        findings = dbtf_lint.check_file("dbtf/engine.cc",
+                                        '#include "dist/worker.h"\n')
+        self.assertEqual([rule for _, rule, _ in findings],
+                         ["worker-include"])
+        self.assertEqual(
+            dbtf_lint.check_file("dist/cluster.cc",
+                                 '#include "dist/worker.h"\n'), [])
+
     def test_naked_mutex_fixture_trips(self):
         diagnostics = self.lint("naked_mutex")
         self.assertEqual(rules_in(diagnostics), {"naked-mutex"})

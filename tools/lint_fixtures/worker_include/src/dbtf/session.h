@@ -3,6 +3,6 @@
 #define FIXTURE_SESSION_H_
 
 #include "dist/cluster.h"
-#include "dist/worker.h"  // violation: only src/dist/ and engine.cc may
+#include "dist/worker.h"  // violation: only src/dist/ may
 
 #endif  // FIXTURE_SESSION_H_
