@@ -5,11 +5,10 @@
 // time measured for real, plus the modeled driver/network time) — the same
 // quantity a wall clock would show on a real cluster. See DESIGN.md.
 //
-// Each machine count runs twice — delta broadcasts on (default) and off —
-// so the broadcast-byte reduction and its makespan effect are visible side
-// by side. With --json <path>, the full per-run breakdown (virtual time
-// split into machine/driver shares, ledger bytes and events) is written as
-// a machine-readable report; CI uploads it as the BENCH_runtime artifact.
+// Each machine count runs once. With --json <path>, the full per-run
+// breakdown (virtual time split into machine/driver shares, ledger bytes and
+// events) is written as a machine-readable report; CI uploads it as the
+// BENCH_runtime artifact.
 //
 // --transport=socket reruns the same sweep with one OS process per machine
 // (the SocketTransport), so the report pairs the MODELED makespan
@@ -35,7 +34,6 @@ namespace {
 
 struct RunRecord {
   int machines = 0;
-  bool delta_broadcast = true;
   DbtfResult result;
 };
 
@@ -61,17 +59,16 @@ bool WriteJson(const std::string& path, TransportKind kind,
     const DbtfResult& r = run.result;
     std::fprintf(
         f,
-        "    {\"machines\": %d, \"delta_broadcast\": %s,\n"
+        "    {\"machines\": %d,\n"
         "     \"modeled_seconds\": %.9f, \"measured_seconds\": %.9f,\n"
         "     \"virtual_seconds\": %.9f, \"machine_seconds\": %.9f,\n"
         "     \"driver_seconds\": %.9f, \"wall_seconds\": %.9f,\n"
         "     \"broadcast_bytes\": %lld, \"broadcast_events\": %lld,\n"
         "     \"collect_bytes\": %lld, \"collect_events\": %lld,\n"
         "     \"shuffle_bytes\": %lld, \"final_error\": %lld}%s\n",
-        run.machines, run.delta_broadcast ? "true" : "false",
-        r.virtual_seconds, r.wall_seconds,
-        r.virtual_seconds, r.machine_seconds, r.driver_seconds,
-        r.wall_seconds, static_cast<long long>(r.comm.broadcast_bytes),
+        run.machines, r.virtual_seconds, r.wall_seconds, r.virtual_seconds,
+        r.machine_seconds, r.driver_seconds, r.wall_seconds,
+        static_cast<long long>(r.comm.broadcast_bytes),
         static_cast<long long>(r.comm.broadcast_events),
         static_cast<long long>(r.comm.collect_bytes),
         static_cast<long long>(r.comm.collect_events),
@@ -127,45 +124,39 @@ int Main(int argc, char** argv) {
               static_cast<long long>(tensor.NumNonZeros()),
               TransportKindName(*transport));
 
-  TablePrinter table({"machines", "delta", "virtual time", "T4/TM",
-                      "bcast MB", "wall time"});
+  TablePrinter table(
+      {"machines", "virtual time", "T4/TM", "bcast MB", "wall time"});
   std::vector<RunRecord> runs;
   double t4 = -1.0;
   for (const int machines : {4, 8, 16}) {
-    for (const bool delta : {true, false}) {
-      DbtfConfig config;
-      config.rank = 10;
-      config.max_iterations = options.max_iterations;
-      // The partitioning is fixed; only the machine count varies (as on a
-      // real cluster, where N is chosen once per dataset).
-      config.num_partitions = 32;
-      config.cluster.num_machines = machines;
-      config.cluster.transport.kind = *transport;
-      config.enable_delta_broadcast = delta;
-      auto result = Dbtf::Factorize(tensor, config);
-      if (!result.ok()) {
-        std::printf("DBTF failed: %s\n", result.status().ToString().c_str());
-        return 1;
-      }
-      if (machines == 4 && delta) t4 = result->virtual_seconds;
-      char virt[32];
-      char ratio[32];
-      char bcast[32];
-      char wall[32];
-      std::snprintf(virt, sizeof(virt), "%.3fs", result->virtual_seconds);
-      std::snprintf(ratio, sizeof(ratio), "%.2fx",
-                    t4 / result->virtual_seconds);
-      std::snprintf(bcast, sizeof(bcast), "%.2f",
-                    static_cast<double>(result->comm.broadcast_bytes) / 1e6);
-      std::snprintf(wall, sizeof(wall), "%.3fs", result->wall_seconds);
-      table.AddRow({std::to_string(machines), delta ? "on" : "off", virt,
-                    ratio, bcast, wall});
-      RunRecord record;
-      record.machines = machines;
-      record.delta_broadcast = delta;
-      record.result = std::move(*result);
-      runs.push_back(std::move(record));
+    DbtfConfig config;
+    config.rank = 10;
+    config.max_iterations = options.max_iterations;
+    // The partitioning is fixed; only the machine count varies (as on a
+    // real cluster, where N is chosen once per dataset).
+    config.num_partitions = 32;
+    config.cluster.num_machines = machines;
+    config.cluster.transport.kind = *transport;
+    auto result = Dbtf::Factorize(tensor, config);
+    if (!result.ok()) {
+      std::printf("DBTF failed: %s\n", result.status().ToString().c_str());
+      return 1;
     }
+    if (machines == 4) t4 = result->virtual_seconds;
+    char virt[32];
+    char ratio[32];
+    char bcast[32];
+    char wall[32];
+    std::snprintf(virt, sizeof(virt), "%.3fs", result->virtual_seconds);
+    std::snprintf(ratio, sizeof(ratio), "%.2fx", t4 / result->virtual_seconds);
+    std::snprintf(bcast, sizeof(bcast), "%.2f",
+                  static_cast<double>(result->comm.broadcast_bytes) / 1e6);
+    std::snprintf(wall, sizeof(wall), "%.3fs", result->wall_seconds);
+    table.AddRow({std::to_string(machines), virt, ratio, bcast, wall});
+    RunRecord record;
+    record.machines = machines;
+    record.result = std::move(*result);
+    runs.push_back(std::move(record));
   }
   table.Print();
   std::printf(

@@ -30,7 +30,7 @@ namespace dbtf {
 /// the plain CheckpointState below. The session (dbtf/session.cc) decides
 /// what goes in and how to rehydrate workers from it.
 
-/// One delta-broadcast shadow slot (FactorBroadcastState) captured in a
+/// One broadcast shadow slot (FactorBroadcastState) captured in a
 /// snapshot. `content` is meaningful only when `initialized`.
 struct FactorShadowSnapshot {
   bool initialized = false;
@@ -89,7 +89,7 @@ struct CheckpointState {
   std::int64_t cache_bytes = 0;
   std::int64_t checkpoints_written = 0;
 
-  /// Delta-broadcast shadows, indexed by worker slot (A = 0, B = 1, C = 2).
+  /// Broadcast shadows, indexed by worker slot (A = 0, B = 1, C = 2).
   std::array<FactorShadowSnapshot, 3> shadows;
 
   /// Run-attributed ledgers at the cursor (already Since/Plus-folded by the

@@ -175,9 +175,6 @@ Status RunFactorize(FlagParser* flags) {
     DBTF_ASSIGN_OR_RETURN(const std::int64_t v,
                           flags->GetInt64("cache-group-size", 15));
     config.cache_group_size = static_cast<int>(v);
-    DBTF_ASSIGN_OR_RETURN(const bool no_delta,
-                          flags->GetBool("no-delta-broadcast", false));
-    config.enable_delta_broadcast = !no_delta;
     // Transport seam: in-process workers (default) or one dbtf-worker OS
     // process per machine over local sockets. Validation happens inside
     // Cluster::Create via ClusterConfig::Validate.
@@ -583,8 +580,6 @@ std::string UsageText() {
       "                    ledgers are bitwise identical across transports)\n"
       "                    --socket-dir DIR --worker-binary PATH\n"
       "                    --socket-workers M (must equal --machines)\n"
-      "                    --no-delta-broadcast (ship full operand matrices\n"
-      "                    every update instead of changed columns)\n"
       "                    --fault-seed S | --fault-plan PLAN\n"
       "                    --checkpoint-dir DIR (durable snapshots; resume\n"
       "                    with --resume) --checkpoint-every-columns N\n"

@@ -59,12 +59,6 @@ struct DbtfConfig {
   /// every lookup instead of being served from the precomputed tables.
   bool enable_caching = true;
 
-  /// Ablation knob: when false, every stale Khatri-Rao operand is broadcast
-  /// as a full matrix instead of as its changed columns. Results are
-  /// bitwise-identical either way; only the broadcast bytes (and hence the
-  /// simulated network time) differ.
-  bool enable_delta_broadcast = true;
-
   /// Cooperative wall-clock budget in seconds; 0 means unlimited. Checked
   /// between factor updates; expiry returns DeadlineExceeded.
   double time_budget_seconds = 0.0;

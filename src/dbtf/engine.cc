@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/bitspan.h"
 #include "common/check.h"
 #include "dist/messages.h"
 
@@ -69,52 +68,15 @@ void FactorBroadcastState::PlanSlot(int slot_index, const BitMatrix& current,
   // partition with no table from its resident copy.)
   if (slot.initialized && slot.shadow == current) return;
 
+  // Stale content ships as the full matrix under a fresh generation (the
+  // paper broadcasts whole factor matrices, Lemma 7).
   MatrixDelta d;
   d.slot = slot_index;
   d.rows = current.rows();
   d.cols = current.cols();
   d.generation = NextGeneration();
+  d.dense = current;
   slot.pending_generation = d.generation;
-
-  bool ship_full = !slot.initialized || !delta_enabled_;
-  if (!ship_full) {
-    // Changed columns, from the 64-bit row masks (factor cols == rank <= 64,
-    // the same bound RowMask64-based column scoring already relies on).
-    std::uint64_t changed = 0;
-    for (std::int64_t r = 0; r < current.rows(); ++r) {
-      changed |= slot.shadow.RowMask64(r) ^ current.RowMask64(r);
-    }
-    d.full = false;
-    d.base_generation = slot.generation;
-    const std::size_t words_per_column =
-        static_cast<std::size_t>((current.rows() + 63) / 64);
-    for (std::int64_t c = 0; c < current.cols(); ++c) {
-      if ((changed & (std::uint64_t{1} << static_cast<unsigned>(c))) == 0) {
-        continue;
-      }
-      std::vector<BitWord> bits(words_per_column, 0);
-      const MutableBitSpan column(bits.data(),
-                                  static_cast<std::size_t>(current.rows()));
-      for (std::int64_t r = 0; r < current.rows(); ++r) {
-        if (current.Get(r, c)) column.Set(static_cast<std::size_t>(r), true);
-      }
-      d.columns.push_back(c);
-      d.column_bits.push_back(std::move(bits));
-    }
-    // A delta that is no smaller than the full matrix buys nothing — ship
-    // full and let the generation skip handle idempotence.
-    const std::int64_t full_bytes =
-        d.rows * ((d.cols + 63) / 64) *
-        static_cast<std::int64_t>(sizeof(BitWord));
-    if (d.WireBytes() >= full_bytes) ship_full = true;
-  }
-  if (ship_full) {
-    d.full = true;
-    d.base_generation = 0;
-    d.dense = current;
-    d.columns.clear();
-    d.column_bits.clear();
-  }
   out->updates.push_back(std::move(d));
 }
 
@@ -192,13 +154,13 @@ Result<UpdateFactorStats> RunFactorUpdate(
   const CommSnapshot ledger_begin = cluster->comm().Snapshot();
   const RecoveryStats recovery_begin = cluster->recovery().Snapshot();
 
-  // Plan the operand broadcast (Lemma 7, delta-tightened): only stale
-  // content ships; workers rebuild caches (Algorithm 5) only for operands
+  // Plan the operand broadcast (Lemma 7): only stale operands ship, each as
+  // a full matrix; workers rebuild caches (Algorithm 5) only for operands
   // that moved. Exactly one broadcast event goes out per update — even an
-  // empty delta is delivered, because the message also carries the mode's
+  // empty message is delivered, because the message also carries the mode's
   // shape/cache parameters and triggers cache builds for freshly adopted
   // partitions.
-  FactorBroadcastState local_state(config.enable_delta_broadcast);
+  FactorBroadcastState local_state;
   FactorBroadcastState* bstate =
       broadcast_state != nullptr ? broadcast_state : &local_state;
   const FactorDelta broadcast =
@@ -241,7 +203,7 @@ Result<UpdateFactorStats> RunFactorUpdate(
   // and the restore path rehydrated the workers to exactly the committed
   // shadow content — so the plan above is empty by construction. It stays
   // in scope for the recovery path, whose rebroadcast re-equips adopted
-  // partitions (an empty delta still carries the mode's cache parameters).
+  // partitions (an empty plan still carries the mode's cache parameters).
   if (start_column == 0) {
     DBTF_RETURN_IF_ERROR(
         with_recovery(send_broadcast, /*rebroadcast=*/false));

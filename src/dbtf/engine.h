@@ -44,18 +44,17 @@ struct FactorRoles {
   int ms_slot = 1;      ///< slot of M_s (within x R caching unit)
 };
 
-/// Driver-side shadow of the factor content resident on the workers, used
-/// to plan delta broadcasts. Per slot it remembers the last content shipped
-/// (and its generation); Plan() ships nothing for an unchanged operand, the
-/// changed columns when the workers hold the delta's base, and the full
-/// matrix on first contact or when the delta would be no smaller.
+/// Driver-side shadow of the factor content resident on the workers. Per
+/// slot it remembers the last content shipped (and its generation); Plan()
+/// ships nothing for an unchanged operand and the full matrix, under a fresh
+/// generation, for a stale one (the paper broadcasts whole factor matrices).
+/// The shadows are also what a checkpoint records, so a resume can rehydrate
+/// the workers to exactly the content they held.
 ///
 /// Generations are drawn from a process-wide counter, so they are unique
 /// across runs and across states: a generation match at a worker is proof of
 /// byte-identical content even when session-resident workers outlive this
-/// state. One state serves one Factorize run (all three modes); constructing
-/// it with `delta_enabled = false` plans a full broadcast for every stale
-/// operand (the --no-delta-broadcast ablation).
+/// state. One state serves one Factorize run (all three modes).
 ///
 /// Plan/Commit are split so recovery can re-send the planned message: Plan
 /// assigns pending generations eagerly, Commit (after the first successful
@@ -64,8 +63,7 @@ struct FactorRoles {
 /// rebroadcast path needs no special casing.
 class FactorBroadcastState {
  public:
-  explicit FactorBroadcastState(bool delta_enabled = true)
-      : delta_enabled_(delta_enabled) {}
+  FactorBroadcastState() = default;
 
   FactorBroadcastState(const FactorBroadcastState&) = delete;
   FactorBroadcastState& operator=(const FactorBroadcastState&) = delete;
@@ -110,7 +108,6 @@ class FactorBroadcastState {
   void CommitSlot(int slot_index, const BitMatrix& current);
 
   std::array<Slot, 3> slots_;
-  bool delta_enabled_;
 };
 
 /// Runs one distributed factor update (Algorithms 4/5) for the mode-`mode`
@@ -118,13 +115,11 @@ class FactorBroadcastState {
 ///
 /// This is the driver side of the update: it owns `factor` and the decision
 /// loop, while all partition and cache-table state lives inside the workers.
-/// The exchange per update follows the paper's (Lemma 7), with the
-/// broadcast term tightened by deltas:
+/// The exchange per update follows the paper's (Lemma 7):
 ///
 ///   1. Broadcast<FactorDelta>: exactly one broadcast per update, charged
-///      per machine, carrying only the operand content the workers do not
-///      already hold (full matrices on first contact, changed columns
-///      afterwards, nothing for an unchanged operand — see
+///      per machine, carrying the full operand matrices the workers do not
+///      already hold (nothing for an unchanged operand — see
 ///      FactorBroadcastState). Workers rebuild M_f masks and per-partition
 ///      cache tables only when the corresponding operand moved.
 ///   2. Per column c, one Cluster::RunColumn: a RunUpdateColumn dispatch
@@ -175,8 +170,8 @@ struct FactorUpdateResume {
 /// `roles` maps the three matrices onto worker factor slots (defaults suit
 /// a standalone single-factor update). `broadcast_state` carries the shipped
 /// content across updates of one run; nullptr uses a fresh state for just
-/// this update (every stale operand ships full — the right behavior for
-/// one-shot callers whose workers hold nothing). `on_column` is the
+/// this update (both operands ship — the right behavior for one-shot
+/// callers whose workers hold nothing). `on_column` is the
 /// checkpoint hook; `resume` continues an interrupted update mid-column-loop
 /// (see FactorUpdateResume).
 Result<UpdateFactorStats> RunFactorUpdate(

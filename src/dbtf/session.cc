@@ -56,7 +56,6 @@ std::uint64_t FingerprintConfig(const DbtfConfig& config) {
   w.WriteU64(config.seed);
   w.WriteI64(config.convergence_epsilon);
   w.WriteU8(config.enable_caching ? 1 : 0);
-  w.WriteU8(config.enable_delta_broadcast ? 1 : 0);
   w.WriteI64(config.cluster.num_machines);
   w.WriteDouble(config.cluster.network_latency_seconds);
   w.WriteDouble(config.cluster.network_bandwidth_bytes_per_second);
@@ -331,8 +330,9 @@ Status Session::UpdateFactorsAt(RunState* s, const DbtfConfig& config,
                                 CheckpointContext* ckpt) {
   const RecoverWorkersFn recover = [this]() { return RecoverLostWorkers(); };
   // Operand selection per mode, matching kModeRoles' slot convention. The
-  // factor under update never ships; the two Khatri-Rao operands ship as
-  // deltas against the content the workers kept from the previous update.
+  // factor under update never ships; a Khatri-Rao operand ships in full only
+  // when it differs from the content the workers kept from the previous
+  // update.
   struct ModeOperands {
     BitMatrix FactorSet::*factor;
     BitMatrix FactorSet::*mf;
@@ -505,9 +505,9 @@ Status Session::RestoreFromCheckpoint(const CheckpointState& ck,
 
   rng->RestoreState(ck.rng_state);
 
-  // Delta-broadcast shadows: every committed slot comes back, including the
-  // one the cursor mode does not reference — the next mode's delta plans
-  // against that slot's checkpointed generation.
+  // Broadcast shadows: every committed slot comes back, including the one
+  // the cursor mode does not reference — the next mode's plan compares
+  // against that slot's checkpointed content.
   for (int slot = 0; slot < 3; ++slot) {
     const FactorShadowSnapshot& shadow =
         ck.shadows[static_cast<std::size_t>(slot)];
@@ -588,12 +588,12 @@ Result<DbtfResult> Session::Factorize(const DbtfConfig& config) {
   }
 
   Rng rng(config.seed);
-  // Delta-broadcast shadows are per run, not per session: a fresh run must
+  // Broadcast shadows are per run, not per session: a fresh run must
   // report the same ledger a fresh session would (its first update ships
   // full operands), so multi-run reuse stays byte-comparable to one-shot
   // wrappers. Workers may still skip redundant *applies* across runs thanks
   // to the globally unique generations, but the wire ledger is per run.
-  FactorBroadcastState bcast(config.enable_delta_broadcast);
+  FactorBroadcastState bcast;
   RunState state;
 
   cluster_->ResetVirtualTime();

@@ -104,7 +104,7 @@ class Session {
   CheckpointState BuildCheckpoint(const CheckpointContext& ctx) const;
 
   /// Rehydrates a run from `ck`: cursor and accumulators into `state`, the
-  /// RNG engine, the delta-broadcast shadows, the fault injector's delivery
+  /// RNG engine, the broadcast shadows, the fault injector's delivery
   /// counters and dead set, partition coverage (uncharged, same
   /// deterministic placement as recovery), the workers' resident factor
   /// content, and the virtual clocks. Fails with kFailedPrecondition when

@@ -114,8 +114,8 @@ class Promise {
 /// Implementation: posting to an idle mailbox submits one drain task to the
 /// pool; the drain runs queued tasks until the queue is empty and then
 /// retires, so an idle mailbox occupies no pool thread. Tasks must not block
-/// on pool completion (ThreadPool::Wait / ParallelFor check-fail on a pool
-/// thread) or on a future their own mailbox must fulfil.
+/// on pool completion (ThreadPool::Wait check-fails on a pool thread) or on
+/// a future their own mailbox must fulfil.
 class Mailbox {
  public:
   /// The pool must outlive the mailbox.

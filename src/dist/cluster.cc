@@ -8,7 +8,6 @@
 
 #include "common/check.h"
 #include "common/logging.h"
-#include "common/timer.h"
 
 namespace dbtf {
 
@@ -63,15 +62,6 @@ Cluster::Cluster(const ClusterConfig& config)
   for (int m = 0; m < config_.num_machines; ++m) {
     mailboxes_.push_back(std::make_unique<Mailbox>(pool_.get()));
   }
-}
-
-void Cluster::RunTasks(std::int64_t n,
-                       const std::function<void(std::int64_t)>& fn) {
-  pool_->ParallelFor(n, [this, &fn](std::int64_t t) {
-    ThreadCpuTimer timer;
-    fn(t);
-    ChargeCompute(OwnerOf(t), timer.ElapsedSeconds());
-  });
 }
 
 Status Cluster::AttachEndpoint(int machine,

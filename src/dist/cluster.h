@@ -93,11 +93,6 @@ class Cluster {
     return placement_->Place(task, config_.num_machines);
   }
 
-  /// Runs fn(t) for t in [0, n) on the pool. Each task's thread-CPU time is
-  /// added to the virtual clock of machine OwnerOf(t).
-  void RunTasks(std::int64_t n, const std::function<void(std::int64_t)>& fn)
-      DBTF_EXCLUDES(mu_);
-
   // --- Endpoint registry ---------------------------------------------------
 
   /// Attaches a transport endpoint as machine `machine`'s message target.
@@ -284,8 +279,6 @@ class Cluster {
 
   CommStats& comm() { return comm_; }
   const CommStats& comm() const { return comm_; }
-
-  ThreadPool& pool() { return *pool_; }
 
  private:
   explicit Cluster(const ClusterConfig& config);

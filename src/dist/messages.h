@@ -57,10 +57,11 @@ struct MatrixDelta {
 
 /// Broadcast payload of one factor update (Lemma 7). Instead of shipping
 /// three full matrices every update, the driver ships only the stale
-/// Khatri-Rao operands — full on first contact, changed columns afterwards —
-/// tagged with generation counters. Workers keep the operand matrices
-/// resident and rebuild derived state (M_f row masks, M_s^T cache tables)
-/// only when the cached operand's generation moves. The factor under update
+/// Khatri-Rao operands, each in full, tagged with generation counters (the
+/// serving layer's apply-only batches carry changed-column deltas). Workers
+/// keep the operand matrices resident and rebuild derived state (M_f row
+/// masks, M_s^T cache tables) only when the cached operand's generation
+/// moves. The factor under update
 /// itself never crosses the wire: workers only need its row count, and the
 /// per-column row masks ride each RunUpdateColumn message.
 ///

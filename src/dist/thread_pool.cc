@@ -1,7 +1,5 @@
 #include "dist/thread_pool.h"
 
-#include <algorithm>
-#include <atomic>
 #include <utility>
 
 #include "common/check.h"
@@ -10,9 +8,9 @@ namespace dbtf {
 namespace {
 
 /// True on threads owned by *any* ThreadPool, for the lifetime of the
-/// thread. Set once at WorkerLoop entry; used to catch the silent
-/// ParallelFor/Wait self-deadlock (the caller's own task counts as in
-/// flight, so the wait can never finish).
+/// thread. Set once at WorkerLoop entry; used to catch the silent Wait
+/// self-deadlock (the caller's own task counts as in flight, so the wait can
+/// never finish).
 thread_local bool t_on_pool_thread = false;
 
 }  // namespace
@@ -53,28 +51,6 @@ void ThreadPool::Wait() {
     mu_.AssertHeld();
     return in_flight_ == 0;
   });
-}
-
-void ThreadPool::ParallelFor(std::int64_t n,
-                             const std::function<void(std::int64_t)>& fn) {
-  DBTF_CHECK(!t_on_pool_thread,
-             "ThreadPool::ParallelFor called from inside a pool task: its "
-             "Wait would count the calling task as in flight and deadlock. "
-             "Run the loop on the driver thread (or chain the work through "
-             "a Mailbox).");
-  if (n <= 0) return;
-  std::atomic<std::int64_t> next{0};
-  const int workers =
-      static_cast<int>(std::min<std::int64_t>(n, num_threads()));
-  for (int w = 0; w < workers; ++w) {
-    Submit([&next, n, &fn] {
-      for (std::int64_t i = next.fetch_add(1); i < n;
-           i = next.fetch_add(1)) {
-        fn(i);
-      }
-    });
-  }
-  Wait();
 }
 
 void ThreadPool::WorkerLoop() {

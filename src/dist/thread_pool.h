@@ -13,8 +13,8 @@
 
 namespace dbtf {
 
-/// Fixed-size worker pool. Tasks are arbitrary callables; ParallelFor blocks
-/// until every iteration has finished. Not copyable or movable.
+/// Fixed-size worker pool. Tasks are arbitrary callables; Wait blocks until
+/// every submitted task has finished. Not copyable or movable.
 ///
 /// Locking discipline (machine-checked under Clang `-Wthread-safety`): all
 /// queue and completion state is guarded by `mu_`; the condition variables
@@ -34,16 +34,11 @@ class ThreadPool {
   /// Enqueues a task for asynchronous execution.
   void Submit(std::function<void()> task) DBTF_EXCLUDES(mu_);
 
-  /// Blocks until all submitted tasks have completed.
+  /// Blocks until all submitted tasks have completed. Calling it from inside
+  /// a pool task would deadlock — the calling task counts as in flight — so
+  /// it check-fails with a clear message when invoked on a pool-owned thread
+  /// (thread-local flag).
   void Wait() DBTF_EXCLUDES(mu_);
-
-  /// Runs fn(i) for i in [0, n), distributed over the pool; returns when all
-  /// iterations are done. Safe to call from one thread at a time. Calling it
-  /// (or Wait) from inside a pool task would deadlock — Wait would count the
-  /// calling task as in flight — so both check-fail with a clear message
-  /// when invoked on a pool-owned thread (thread-local flag).
-  void ParallelFor(std::int64_t n, const std::function<void(std::int64_t)>& fn)
-      DBTF_EXCLUDES(mu_);
 
  private:
   void WorkerLoop() DBTF_EXCLUDES(mu_);

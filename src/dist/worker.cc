@@ -69,10 +69,6 @@ void Worker::AdoptPartition(Mode mode, std::int64_t index, Partition partition,
   st.partitions.push_back(std::move(lp));
 }
 
-std::int64_t Worker::NumLocalPartitions(Mode mode) const {
-  return static_cast<std::int64_t>(state(mode).partitions.size());
-}
-
 std::vector<std::int64_t> Worker::LocalPartitionIndexes(Mode mode) const {
   const ModeState& st = state(mode);
   std::vector<std::int64_t> indexes;
@@ -267,7 +263,8 @@ Status Worker::Handle(const CollectErrorsRequest& msg,
     }
   }
   // The driver collects 2 errors per row from every partition (Lemma 7).
-  response->wire_bytes = NumLocalPartitions(msg.mode) * st.rows * 2 *
+  response->wire_bytes = static_cast<std::int64_t>(st.partitions.size()) *
+                         st.rows * 2 *
                          static_cast<std::int64_t>(sizeof(std::int64_t));
   return Status::OK();
 }

@@ -57,9 +57,6 @@ class Worker {
   void AdoptPartition(Mode mode, std::int64_t index, Partition partition,
                       const UnfoldShape& shape);
 
-  /// Partitions of `mode` resident on this machine.
-  std::int64_t NumLocalPartitions(Mode mode) const;
-
   /// Global indexes of the mode-`mode` partitions resident on this machine,
   /// in adoption order. The re-provisioning seam (dist/provision.h) uses the
   /// union over surviving workers to find which partitions died with a lost

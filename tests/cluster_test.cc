@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <limits>
 #include <memory>
 #include <string>
@@ -107,30 +106,6 @@ TEST(Cluster, OwnerIsRoundRobin) {
   EXPECT_EQ((*cluster)->OwnerOf(1), 1);
   EXPECT_EQ((*cluster)->OwnerOf(4), 0);
   EXPECT_EQ((*cluster)->OwnerOf(7), 3);
-}
-
-TEST(Cluster, RunTasksExecutesAll) {
-  auto cluster = Cluster::Create(SmallConfig());
-  ASSERT_TRUE(cluster.ok());
-  std::atomic<int> count{0};
-  (*cluster)->RunTasks(37, [&count](std::int64_t) { count.fetch_add(1); });
-  EXPECT_EQ(count.load(), 37);
-}
-
-TEST(Cluster, RunTasksAccumulatesVirtualTime) {
-  auto cluster = Cluster::Create(SmallConfig());
-  ASSERT_TRUE(cluster.ok());
-  (*cluster)->RunTasks(8, [](std::int64_t) {
-    // Burn a little CPU so the thread-CPU clock moves.
-    volatile double x = 1.0;
-    for (int i = 0; i < 200000; ++i) x = x * 1.0000001 + 0.5;
-  });
-  double total = 0.0;
-  for (int m = 0; m < 4; ++m) {
-    total += (*cluster)->MachineComputeSeconds(m);
-  }
-  EXPECT_GT(total, 0.0);
-  EXPECT_GT((*cluster)->VirtualMakespanSeconds(), 0.0);
 }
 
 TEST(Cluster, ChargeComputeAffectsMakespan) {

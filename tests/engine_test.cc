@@ -281,78 +281,70 @@ TEST(SessionFaults, ExhaustedRetryBudgetSurfacesCleanUnavailable) {
       << r.status().ToString();
 }
 
-/// The delta-broadcast acceptance criterion: shipping only changed operand
-/// columns is invisible in the results — factors, error trajectory, collect
-/// and shuffle traffic all match the full-broadcast ablation bitwise — while
-/// the broadcast bytes strictly shrink (same number of broadcast *events*).
-TEST(DeltaBroadcast, BitwiseIdenticalWithStrictlyFewerBroadcastBytes) {
-  const PlantedTensor p = MakePlanted(24, 4, 51);
-  DbtfConfig with_delta = SmallConfig();
-  ASSERT_TRUE(with_delta.enable_delta_broadcast) << "delta is the default";
-  DbtfConfig full = with_delta;
-  full.enable_delta_broadcast = false;
+/// The broadcast plan ships a stale operand as the full matrix under a fresh
+/// generation and an unchanged operand not at all.
+TEST(FactorBroadcastState, ShipsStaleOperandsInFullAndSkipsUnchangedOnes) {
+  const DbtfConfig config = SmallConfig(3);
+  const FactorRoles roles;  // factor = A (slot 0), M_f = C (2), M_s = B (1)
+  BitMatrix mf(5, 3);
+  BitMatrix ms(7, 3);
+  mf.Set(1, 2, true);
+  ms.Set(4, 0, true);
+  FactorBroadcastState state;
 
-  auto delta_run = Dbtf::Factorize(p.tensor, with_delta);
-  auto full_run = Dbtf::Factorize(p.tensor, full);
-  ASSERT_TRUE(delta_run.ok()) << delta_run.status().ToString();
-  ASSERT_TRUE(full_run.ok()) << full_run.status().ToString();
+  const FactorDelta first = state.Plan(roles, Mode::kOne, 6, mf, ms, config);
+  ASSERT_EQ(first.updates.size(), 2u);
+  EXPECT_EQ(first.updates[0].slot, roles.mf_slot);
+  EXPECT_EQ(first.updates[1].slot, roles.ms_slot);
+  for (const MatrixDelta& d : first.updates) {
+    EXPECT_TRUE(d.full);
+    EXPECT_TRUE(d.columns.empty());
+    EXPECT_GT(d.generation, 0u);
+  }
+  EXPECT_EQ(first.updates[0].dense, mf);
+  EXPECT_EQ(first.updates[1].dense, ms);
+  EXPECT_NE(first.updates[0].generation, first.updates[1].generation);
+  state.Commit(roles, mf, ms);
 
-  ExpectSameFactorsAndErrors(*delta_run, *full_run);
-  EXPECT_EQ(delta_run->comm.broadcast_events, full_run->comm.broadcast_events);
-  EXPECT_EQ(delta_run->comm.collect_bytes, full_run->comm.collect_bytes);
-  EXPECT_EQ(delta_run->comm.collect_events, full_run->comm.collect_events);
-  EXPECT_EQ(delta_run->comm.shuffle_bytes, full_run->comm.shuffle_bytes);
-  EXPECT_LT(delta_run->comm.broadcast_bytes, full_run->comm.broadcast_bytes)
-      << "delta broadcasts must strictly reduce the broadcast volume";
+  const FactorDelta unchanged =
+      state.Plan(roles, Mode::kOne, 6, mf, ms, config);
+  EXPECT_TRUE(unchanged.updates.empty());
+  state.Commit(roles, mf, ms);
+
+  mf.Set(3, 0, true);
+  const FactorDelta moved = state.Plan(roles, Mode::kOne, 6, mf, ms, config);
+  ASSERT_EQ(moved.updates.size(), 1u);
+  const MatrixDelta& d = moved.updates[0];
+  EXPECT_EQ(d.slot, roles.mf_slot);
+  EXPECT_TRUE(d.full);
+  EXPECT_EQ(d.dense, mf);
+  EXPECT_NE(d.generation, first.updates[0].generation);
+  EXPECT_NE(d.generation, first.updates[1].generation);
+  state.Commit(roles, mf, ms);
+  EXPECT_EQ(state.shadow(roles.mf_slot).generation, d.generation);
+  EXPECT_EQ(state.shadow(roles.ms_slot).generation,
+            first.updates[1].generation);
 }
 
-/// Deltas and recovery compose: under a fault plan with transient faults and
-/// one permanent machine loss, the delta run still matches the full-broadcast
-/// run (and hence the fault-free baseline) bitwise. The recovery rebroadcast
-/// re-sends an already-applied delta, which workers skip by generation.
-TEST(DeltaBroadcast, BitwiseIdenticalUnderFaultPlan) {
+/// Broadcasts and recovery compose: under a fault plan with transient faults
+/// and one permanent machine loss, the run matches the fault-free baseline
+/// bitwise. The recovery rebroadcast re-sends an already-applied plan, which
+/// workers skip by generation.
+TEST(Broadcast, BitwiseIdenticalUnderFaultPlan) {
   const PlantedTensor p = MakePlanted(24, 4, 52);
-  DbtfConfig with_delta = SmallConfig();
+  DbtfConfig faulty = SmallConfig();
   auto plan =
       FaultPlan::Parse("0:broadcast:transient@2,1:dispatch:crash@4");
   ASSERT_TRUE(plan.ok());
-  with_delta.cluster.fault_plan = *plan;
-  DbtfConfig full = with_delta;
-  full.enable_delta_broadcast = false;
+  faulty.cluster.fault_plan = *plan;
 
   auto baseline = Dbtf::Factorize(p.tensor, SmallConfig());
-  auto delta_run = Dbtf::Factorize(p.tensor, with_delta);
-  auto full_run = Dbtf::Factorize(p.tensor, full);
+  auto run = Dbtf::Factorize(p.tensor, faulty);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-  ASSERT_TRUE(delta_run.ok()) << delta_run.status().ToString();
-  ASSERT_TRUE(full_run.ok()) << full_run.status().ToString();
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
 
-  ExpectSameFactorsAndErrors(*delta_run, *baseline);
-  ExpectSameFactorsAndErrors(*delta_run, *full_run);
-  EXPECT_EQ(delta_run->recovery.machines_lost, 1);
-  EXPECT_LT(delta_run->comm.broadcast_bytes, full_run->comm.broadcast_bytes);
-}
-
-/// On a bandwidth-starved cluster the broadcast bytes dominate the virtual
-/// makespan, so shipping deltas must shrink it. driver_seconds (the network
-/// share) is fully deterministic; the compute share rides along.
-TEST(DeltaBroadcast, ImprovesVirtualMakespanWhenBandwidthBound) {
-  const PlantedTensor p = MakePlanted(24, 4, 53);
-  DbtfConfig with_delta = SmallConfig();
-  with_delta.cluster.network_bandwidth_bytes_per_second = 1e4;
-  DbtfConfig full = with_delta;
-  full.enable_delta_broadcast = false;
-
-  auto delta_run = Dbtf::Factorize(p.tensor, with_delta);
-  auto full_run = Dbtf::Factorize(p.tensor, full);
-  ASSERT_TRUE(delta_run.ok()) << delta_run.status().ToString();
-  ASSERT_TRUE(full_run.ok()) << full_run.status().ToString();
-
-  EXPECT_NEAR(delta_run->driver_seconds + delta_run->machine_seconds,
-              delta_run->virtual_seconds, 1e-9);
-  EXPECT_LT(delta_run->driver_seconds, full_run->driver_seconds)
-      << "fewer broadcast bytes must mean less simulated network time";
-  EXPECT_LT(delta_run->virtual_seconds, full_run->virtual_seconds);
+  ExpectSameFactorsAndErrors(*run, *baseline);
+  EXPECT_EQ(run->recovery.machines_lost, 1);
 }
 
 // --- Checkpoint/resume ------------------------------------------------------
@@ -516,33 +508,6 @@ TEST(Resume, ReplaysTheFaultScheduleAcrossTheCut) {
   }
 }
 
-/// Resume with the full-broadcast ablation: the shadows still checkpoint and
-/// restore (they track factor content either way), and the resumed run
-/// matches bitwise including the ledger.
-TEST(Resume, WorksWithDeltaBroadcastDisabled) {
-  const PlantedTensor p = MakePlanted(24, 4, 58);
-  DbtfConfig full = SmallConfig();
-  full.enable_delta_broadcast = false;
-  auto baseline = Dbtf::Factorize(p.tensor, full);
-  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-
-  const std::string dir = CkptDir("fullbcast");
-  DbtfConfig interrupted = full;
-  interrupted.checkpoint_dir = dir;
-  interrupted.checkpoint_every_columns = 1;
-  interrupted.halt_after_columns = 5;
-  auto killed = Dbtf::Factorize(p.tensor, interrupted);
-  ASSERT_FALSE(killed.ok());
-
-  DbtfConfig resume = full;
-  resume.checkpoint_dir = dir;
-  resume.resume = true;
-  auto resumed = Dbtf::Factorize(p.tensor, resume);
-  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  ExpectSameFactorsAndErrors(*resumed, *baseline);
-  ExpectSameComm(resumed->comm, baseline->comm);
-}
-
 /// Resuming on the same session object (workers still hold the factor
 /// content at matching generations) takes the generation-skip path of worker
 /// rehydration and must land on the same result as a fresh-process resume.
@@ -688,16 +653,8 @@ void ExpectTransportEquivalent(const DbtfConfig& base) {
   EXPECT_EQ(remote->cache_bytes, oracle->cache_bytes);
 }
 
-TEST(TransportEquivalence, SocketMatchesInprocWithDeltaBroadcasts) {
-  DbtfConfig config = SmallConfig();
-  config.enable_delta_broadcast = true;
-  ExpectTransportEquivalent(config);
-}
-
-TEST(TransportEquivalence, SocketMatchesInprocWithFullBroadcasts) {
-  DbtfConfig config = SmallConfig();
-  config.enable_delta_broadcast = false;
-  ExpectTransportEquivalent(config);
+TEST(TransportEquivalence, SocketMatchesInproc) {
+  ExpectTransportEquivalent(SmallConfig());
 }
 
 /// Under a deterministic fault plan (transient faults plus a permanent

@@ -43,7 +43,8 @@ Partition ValidPartition() {
 TEST(PartitionInvariantsTest, ValidPartitionIsAccepted) {
   Worker worker(0);
   worker.AdoptPartition(Mode::kOne, 0, ValidPartition(), kShape);
-  EXPECT_EQ(worker.NumLocalPartitions(Mode::kOne), 1);
+  EXPECT_EQ(worker.LocalPartitionIndexes(Mode::kOne),
+            std::vector<std::int64_t>{0});
 }
 
 TEST(PartitionInvariantsDeathTest, MisalignedWithinBeginDies) {

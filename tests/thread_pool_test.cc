@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <vector>
 
 namespace dbtf {
 namespace {
@@ -27,59 +26,22 @@ TEST(ThreadPool, SubmitAndWait) {
   EXPECT_EQ(counter.load(), 100);
 }
 
-TEST(ThreadPool, ParallelForCoversAllIndices) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(257);
-  pool.ParallelFor(257, [&hits](std::int64_t i) {
-    hits[static_cast<std::size_t>(i)].fetch_add(1);
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForZeroAndOne) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.ParallelFor(0, [&count](std::int64_t) { count.fetch_add(1); });
-  EXPECT_EQ(count.load(), 0);
-  pool.ParallelFor(1, [&count](std::int64_t) { count.fetch_add(1); });
-  EXPECT_EQ(count.load(), 1);
-}
-
 TEST(ThreadPool, ReusableAcrossRounds) {
   ThreadPool pool(2);
   std::atomic<int> total{0};
   for (int round = 0; round < 10; ++round) {
-    pool.ParallelFor(50, [&total](std::int64_t) { total.fetch_add(1); });
+    for (int i = 0; i < 50; ++i) {
+      pool.Submit([&total] { total.fetch_add(1); });
+    }
+    pool.Wait();
+    EXPECT_EQ(total.load(), 50 * (round + 1));
   }
-  EXPECT_EQ(total.load(), 500);
 }
 
 TEST(ThreadPool, WaitWithNoWorkReturnsImmediately) {
   ThreadPool pool(2);
   pool.Wait();
   SUCCEED();
-}
-
-TEST(ThreadPool, ManyMoreTasksThanThreads) {
-  ThreadPool pool(1);
-  std::atomic<std::int64_t> sum{0};
-  pool.ParallelFor(10000, [&sum](std::int64_t i) { sum.fetch_add(i); });
-  EXPECT_EQ(sum.load(), 10000LL * 9999 / 2);
-}
-
-TEST(ThreadPoolDeathTest, ParallelForInsidePoolTaskAborts) {
-  // Nesting ParallelFor inside a pool task would self-deadlock (the caller's
-  // own task counts as in flight), so it must abort with a clear message
-  // instead of hanging. The pool lives inside the statement so the
-  // death-test child constructs its own threads.
-  EXPECT_DEATH(
-      {
-        ThreadPool pool(2);
-        pool.ParallelFor(1, [&pool](std::int64_t) {
-          pool.ParallelFor(1, [](std::int64_t) {});
-        });
-      },
-      "inside a pool task");
 }
 
 TEST(ThreadPoolDeathTest, WaitInsidePoolTaskAborts) {
