@@ -1,5 +1,8 @@
 #include "dist/async.h"
 
+#include <utility>
+
+#include "common/check.h"
 #include "dist/thread_pool.h"
 
 namespace dbtf {

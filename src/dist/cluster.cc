@@ -1,8 +1,8 @@
 #include "dist/cluster.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
+#include <condition_variable>
 #include <thread>
 #include <utility>
 
@@ -46,7 +46,6 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(const ClusterConfig& config) {
 
 Cluster::Cluster(const ClusterConfig& config)
     : config_(config),
-      placement_(config.placement ? config.placement : DefaultPlacement()),
       dead_(static_cast<std::size_t>(config.num_machines), false),
       machine_seconds_(static_cast<std::size_t>(config.num_machines), 0.0) {
   int threads = config_.num_threads;
@@ -125,11 +124,34 @@ Status NoWorkersError(const std::vector<int>& dead) {
   return Status::FailedPrecondition("no workers attached to the cluster");
 }
 
-/// Lifts a combined fan-out status into the future's payload.
-Result<Unit> ToUnitResult(const Status& status) {
-  if (status.ok()) return Unit{};
-  return status;
-}
+/// Blocks the driver until `count` mailbox tasks have each called
+/// CountDown once: the one wait behind every fan-out, query and store. The
+/// latch may live on the waiter's stack, because CountDown notifies while
+/// still holding the mutex: the waiter cannot see the count reach zero, and
+/// return and destroy the latch, before the last CountDown has released it.
+/// Everything a task writes before its CountDown is visible after Wait.
+class Latch {
+ public:
+  explicit Latch(int count) : remaining_(count) {}
+
+  void CountDown() {
+    MutexLock lock(mu_);
+    if (--remaining_ == 0) zero_.notify_all();
+  }
+
+  void Wait() {
+    MutexLock lock(mu_);
+    lock.Wait(zero_, [this] {
+      mu_.AssertHeld();
+      return remaining_ == 0;
+    });
+  }
+
+ private:
+  Mutex mu_;
+  std::condition_variable zero_;
+  int remaining_ DBTF_GUARDED_BY(mu_);
+};
 
 /// Runs one endpoint call and charges the handler CPU it reports to the
 /// machine's virtual clock, whatever the call's outcome.
@@ -143,41 +165,26 @@ Status ChargedCall(Cluster& cluster, int machine, const Call& call) {
 
 }  // namespace
 
-/// Shared state of one fan-out. Each mailbox task writes its own statuses
-/// slot; the last task to finish (the remaining counter hitting zero,
-/// acq_rel so every slot is visible) hands them all to the promise. The
-/// snapshot pins every endpoint alive until its deliveries have drained.
-struct Cluster::FanOut {
-  std::vector<AttachedWorker> workers;
-  DeliverFn deliver;
-  std::vector<Status> statuses;
-  std::atomic<int> remaining{0};
-  Promise<std::vector<Status>> done;
-};
-
-Result<std::vector<Status>> Cluster::RunFanOut(int rounds, DeliverFn deliver) {
-  auto op = std::make_shared<FanOut>();
-  op->workers = WorkerSnapshot();
-  if (op->workers.empty()) return NoWorkersError(DeadMachines());
-  op->deliver = std::move(deliver);
-  const std::size_t n = op->workers.size();
+Result<std::vector<Status>> Cluster::RunFanOut(int rounds,
+                                               const DeliverFn& deliver) {
+  // The snapshot pins every endpoint alive until its deliveries have run.
+  // Each task writes only its own statuses slot; the latch's mutex orders
+  // every slot before the wait returns.
+  const std::vector<AttachedWorker> workers = WorkerSnapshot();
+  if (workers.empty()) return NoWorkersError(DeadMachines());
+  const std::size_t n = workers.size();
   const std::size_t total = n * static_cast<std::size_t>(rounds);
-  op->statuses.assign(total, Status::OK());
-  op->remaining.store(static_cast<int>(total), std::memory_order_relaxed);
-  // Take the future before posting: the last delivery may resolve the op
-  // while this loop is still running.
-  Future<std::vector<Status>> done = op->done.future();
+  std::vector<Status> statuses(total, Status::OK());
+  Latch done(static_cast<int>(total));
   for (std::size_t slot = 0; slot < total; ++slot) {
-    const AttachedWorker& w = op->workers[slot % n];
-    mailboxes_[static_cast<std::size_t>(w.machine)]->Post([op, slot, n] {
-      op->statuses[slot] = op->deliver(op->workers[slot % n],
-                                       static_cast<int>(slot / n));
-      if (op->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        op->done.Set(std::move(op->statuses));
-      }
+    const AttachedWorker& w = workers[slot % n];
+    mailboxes_[static_cast<std::size_t>(w.machine)]->Post([&, slot] {
+      statuses[slot] = deliver(workers[slot % n], static_cast<int>(slot / n));
+      done.CountDown();
     });
   }
-  return done.Get();
+  done.Wait();
+  return statuses;
 }
 
 Status Cluster::BroadcastFactors(const FactorDelta& msg) {
@@ -262,47 +269,51 @@ Status Cluster::QueryWorker(int machine, const QueryRequest& msg,
         "machine " + std::to_string(machine) +
         " has no attached endpoint (lost or never attached)");
   }
-  Promise<Unit> promise;
-  Future<Unit> future = promise.future();
+  Status status = Status::OK();
+  Latch done(1);
   // Queries share the collect slot of the injector's per-(machine, kind)
   // counters: both are worker->driver response traffic, and reusing the
   // slot keeps checkpointed counter layouts (machine * 3 + kind) stable.
-  mailboxes_[static_cast<std::size_t>(machine)]->Post(
-      [this, promise, endpoint, machine, &msg, response]() mutable {
-        const Status status =
-            DeliverWithRetry(machine, MessageKind::kCollect, [&] {
-              return ChargedCall(*this, machine, [&](double* seconds) {
-                return endpoint->Query(msg, response, seconds);
-              });
-            });
-        if (status.ok()) {
-          // One query event for the round trip, charged only on success.
-          ChargeQuery(msg.WireBytes() + response->WireBytes());
-        }
-        promise.Set(ToUnitResult(status));
+  mailboxes_[static_cast<std::size_t>(machine)]->Post([&] {
+    status = DeliverWithRetry(machine, MessageKind::kCollect, [&] {
+      return ChargedCall(*this, machine, [&](double* seconds) {
+        return endpoint->Query(msg, response, seconds);
       });
-  return future.Get().status();
+    });
+    if (status.ok()) {
+      // One query event for the round trip, charged only on success.
+      ChargeQuery(msg.WireBytes() + response->WireBytes());
+    }
+    done.CountDown();
+  });
+  done.Wait();
+  return status;
 }
 
-Future<Unit> Cluster::AsyncStorePartition(StorePartitionRequest msg) {
-  Promise<Unit> promise;
-  Future<Unit> future = promise.future();
-  const int owner = OwnerOf(msg.index);
-  std::shared_ptr<WorkerEndpoint> endpoint = EndpointOn(owner);
-  if (endpoint == nullptr) {
-    promise.Set(Status::FailedPrecondition(
-        "no worker endpoint attached to the partition's machine"));
-    return future;
+Status Cluster::StoreOnOwners(std::vector<StorePartitionRequest> msgs) {
+  std::vector<Status> statuses(msgs.size(), Status::OK());
+  Latch done(static_cast<int>(msgs.size()));
+  for (std::size_t i = 0; i < msgs.size(); ++i) {
+    const int owner = OwnerOf(msgs[i].index);
+    std::shared_ptr<WorkerEndpoint> endpoint = EndpointOn(owner);
+    if (endpoint == nullptr) {
+      statuses[i] = Status::FailedPrecondition(
+          "no worker endpoint attached to the partition's machine");
+      done.CountDown();
+      continue;
+    }
+    // The task pins the endpoint, like a routing snapshot.
+    mailboxes_[static_cast<std::size_t>(owner)]->Post(
+        [&, i, endpoint = std::move(endpoint)] {
+          statuses[i] = endpoint->Store(std::move(msgs[i]), nullptr);
+          done.CountDown();
+        });
   }
-  // The task owns the request and pins the endpoint, like a routing
-  // snapshot; std::function needs a copyable callable, hence the shared_ptr.
-  auto request = std::make_shared<StorePartitionRequest>(std::move(msg));
-  mailboxes_[static_cast<std::size_t>(owner)]->Post(
-      [promise, endpoint = std::move(endpoint), request]() mutable {
-        promise.Set(
-            ToUnitResult(endpoint->Store(std::move(*request), nullptr)));
-      });
-  return future;
+  done.Wait();
+  for (const Status& status : statuses) {
+    if (!status.ok()) return status;
+  }
+  return Status::OK();
 }
 
 Status Cluster::CombineStatuses(const std::vector<Status>& statuses) {

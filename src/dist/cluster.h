@@ -13,7 +13,6 @@
 #include "dist/comm_stats.h"
 #include "dist/fault.h"
 #include "dist/messages.h"
-#include "dist/placement.h"
 #include "dist/thread_pool.h"
 #include "dist/transport/transport.h"
 
@@ -31,10 +30,6 @@ struct ClusterConfig {
   /// Driver-side per-byte processing cost (deserialize + reduce), applied to
   /// collected bytes. This is what curbs linear scaling as N and M grow.
   double driver_seconds_per_byte = 2e-9;
-  /// Partition/task placement; null selects round-robin (the default and the
-  /// paper's implicit scheme).
-  std::shared_ptr<const PlacementPolicy> placement;
-
   /// Deterministic fault schedule (dist/fault.h). Empty means no faults are
   /// injected and routing behaves exactly as before.
   FaultPlan fault_plan;
@@ -68,7 +63,7 @@ struct ClusterConfig {
 /// the driver/worker runtime: one transport endpoint may be attached per
 /// machine, and the driver reaches worker state exclusively through the
 /// typed routing methods — `BroadcastFactors`, `RunColumn` and
-/// `QueryWorker` — plus the provisioning seam's `AsyncStorePartition`. The
+/// `QueryWorker` — plus the provisioning seam's `StoreOnOwners`. The
 /// routing methods do the Lemma 6–7 ledger charging themselves, so any byte
 /// that crosses the driver/worker boundary is priced by construction: a
 /// broadcast charges its wire size once per machine before delivery, and a
@@ -87,10 +82,12 @@ class Cluster {
   int num_machines() const { return config_.num_machines; }
   const ClusterConfig& config() const { return config_; }
 
-  /// Machine that owns task (or partition) index t, per the configured
-  /// placement policy (round-robin unless overridden).
+  /// Machine that owns task (or partition) index t: round-robin, t mod M.
+  /// Partitions are equal-width column slices, so striping them balances
+  /// bytes and work (the paper's vertical partitioning). Partition stores,
+  /// recovery's ring order and serve sharding all place through here.
   int OwnerOf(std::int64_t task) const {
-    return placement_->Place(task, config_.num_machines);
+    return static_cast<int>(task % config_.num_machines);
   }
 
   // --- Endpoint registry ---------------------------------------------------
@@ -181,15 +178,17 @@ class Cluster {
   Status QueryWorker(int machine, const QueryRequest& msg,
                      QueryResponse* response) DBTF_EXCLUDES(mu_);
 
-  /// Asynchronously ships one partition to its owner, machine
-  /// OwnerOf(msg.index), on that machine's serial mailbox, so stores to
-  /// different machines overlap. This is the set-up path of the
+  /// Ships every partition in `msgs` to its owner, machine
+  /// OwnerOf(msg.index), on that machine's serial mailbox, and blocks until
+  /// all stores have finished. Every store is posted before the wait, so
+  /// stores to different machines overlap. This is the set-up path of the
   /// provisioning seam (dist/provision.h), not routing: the delivery goes
   /// straight to the endpoint, with no retry policy, no fault-injector
   /// counter and no ledger or clock charge (the session charges the one-off
-  /// shuffle as a formula, Lemma 6). Fails with kFailedPrecondition when the
-  /// owner has no attached endpoint.
-  Future<Unit> AsyncStorePartition(StorePartitionRequest msg)
+  /// shuffle as a formula, Lemma 6). A request whose owner has no attached
+  /// endpoint fails with kFailedPrecondition and is not posted. Returns the
+  /// failure of the lowest failing position in `msgs`.
+  Status StoreOnOwners(std::vector<StorePartitionRequest> msgs)
       DBTF_EXCLUDES(mu_);
 
   // --- Failure tracking and recovery charging ------------------------------
@@ -209,7 +208,8 @@ class Cluster {
 
   /// Recovery ledger (retries, machine losses, re-provisions, virtual
   /// seconds lost). Read via recovery().Snapshot(); the Record* mutators are
-  /// reserved for cluster.cc (enforced by tools/dbtf_lint.py).
+  /// reserved for cluster.cc (enforced by tools/dbtf_analyze.py, rule
+  /// recovery-stats-mutation).
   const RecoveryLedger& recovery() const { return recovery_; }
 
   // --- Checkpoint/restore seam (src/ckpt/, dbtf/session.cc) ----------------
@@ -300,8 +300,6 @@ class Cluster {
   /// pool.
   std::vector<AttachedWorker> WorkerSnapshot() const DBTF_EXCLUDES(mu_);
 
-  struct FanOut;  // shared state of one broadcast or column fan-out
-
   /// Per-delivery body of a fan-out: `round` says which of a machine's
   /// back-to-back deliveries this is (always 0 for a broadcast).
   using DeliverFn = std::function<Status(const AttachedWorker&, int round)>;
@@ -312,7 +310,7 @@ class Cluster {
   /// Returns their statuses, indexed round * n + i over the snapshot's n
   /// endpoints; fails when no endpoint is attached. `deliver` may refer to
   /// the caller's frame: every call of it is done before this returns.
-  Result<std::vector<Status>> RunFanOut(int rounds, DeliverFn deliver)
+  Result<std::vector<Status>> RunFanOut(int rounds, const DeliverFn& deliver)
       DBTF_EXCLUDES(mu_);
 
   /// Deterministic error selection over a fan-out's per-machine statuses:
@@ -340,7 +338,6 @@ class Cluster {
   void ChargeDriverSeconds(double seconds) DBTF_EXCLUDES(mu_);
 
   ClusterConfig config_;
-  std::shared_ptr<const PlacementPolicy> placement_;
   std::unique_ptr<ThreadPool> pool_;
   CommStats comm_;
   RecoveryLedger recovery_;

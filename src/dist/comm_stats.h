@@ -63,8 +63,8 @@ struct CommSnapshot {
 /// The counters are lock-free atomics, so no mutex (and no GUARDED_BY) is
 /// needed. Within src/, only Cluster's Charge* methods may call the Record*
 /// mutators — every routed message is charged exactly once at the routing
-/// layer, and tools/dbtf_lint.py rejects any other mutation site. Tests may
-/// drive a standalone CommStats directly.
+/// layer, and tools/dbtf_analyze.py (rule comm-stats-mutation) rejects any
+/// other mutation site. Tests may drive a standalone CommStats directly.
 class CommStats {
  public:
   CommStats() = default;

@@ -106,7 +106,7 @@ struct RecoveryStats {
 
 /// Thread-safe ledger behind RecoveryStats. Within src/, only Cluster's
 /// charging layer (src/dist/cluster.cc) may call the Record* mutators —
-/// tools/dbtf_lint.py (rule recovery-stats-mutation) rejects any other
+/// tools/dbtf_analyze.py (rule recovery-stats-mutation) rejects any other
 /// mutation site, so recovery costs are counted exactly once. Tests may
 /// drive a standalone RecoveryLedger directly.
 class RecoveryLedger {

@@ -62,19 +62,13 @@ StorePartitionRequest StoreRequest(Mode mode, std::int64_t index,
 Status StorePartitions(Cluster& cluster, Mode mode,
                        std::vector<Partition> partitions,
                        const UnfoldShape& shape) {
-  std::vector<Future<Unit>> stores;
+  std::vector<StorePartitionRequest> stores;
   stores.reserve(partitions.size());
   for (std::size_t p = 0; p < partitions.size(); ++p) {
-    stores.push_back(cluster.AsyncStorePartition(
-        StoreRequest(mode, static_cast<std::int64_t>(p),
-                     std::move(partitions[p]), shape)));
+    stores.push_back(StoreRequest(mode, static_cast<std::int64_t>(p),
+                                  std::move(partitions[p]), shape));
   }
-  Status first = Status::OK();
-  for (const Future<Unit>& store : stores) {
-    const Status status = store.Get().status();
-    if (first.ok()) first = status;
-  }
-  return first;
+  return cluster.StoreOnOwners(std::move(stores));
 }
 
 namespace {
@@ -89,8 +83,8 @@ Status RestoreCoverageCore(Cluster& cluster,
   for (const ReprovisionSpec& spec : specs) {
     if (spec.num_partitions <= 0) continue;
 
-    // Residency is queried, not derived from the placement policy: after a
-    // previous recovery a partition may live anywhere that survived.
+    // Residency is queried, not derived from OwnerOf: after a previous
+    // recovery a partition may live anywhere that survived.
     std::vector<bool> resident(static_cast<std::size_t>(spec.num_partitions),
                                false);
     for (int m = 0; m < machines; ++m) {

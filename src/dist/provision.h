@@ -19,8 +19,8 @@ class Cluster;
 /// Driver code (session, factor update, engine callers) never names a Worker
 /// member: it provisions endpoints and places partition data through these
 /// free functions, then communicates exclusively via Cluster routing.
-/// tools/dbtf_lint.py enforces the boundary: no translation unit outside
-/// src/dist/ may include dist/worker.h.
+/// tools/dbtf_analyze.py (rule worker-include) enforces the boundary: no
+/// translation unit outside src/dist/ may include dist/worker.h.
 
 /// Creates one worker endpoint per machine over the transport named in the
 /// cluster config (in-process Workers, or one dbtf-worker OS process per
@@ -30,8 +30,8 @@ class Cluster;
 Status ProvisionWorkers(Cluster& cluster);
 
 /// Moves the partitions of the mode-`mode` unfolding (shape `shape`;
-/// partition p is index p) onto the machines the cluster's placement policy
-/// names, giving each resident worker ownership. The driver keeps no
+/// partition p is index p) onto their owners, machine Cluster::OwnerOf(p),
+/// giving each resident worker ownership. The driver keeps no
 /// partition data. The stores run concurrently, one serial queue per
 /// machine, and the call returns once every store has finished, so at most
 /// one unfolding is in flight. Fails, with the failure of the lowest index,

@@ -2,18 +2,7 @@
 
 #include <utility>
 
-#include "common/check.h"
-
 namespace dbtf {
-namespace {
-
-/// True on threads owned by *any* ThreadPool, for the lifetime of the
-/// thread. Set once at WorkerLoop entry; used to catch the silent Wait
-/// self-deadlock (the caller's own task counts as in flight, so the wait can
-/// never finish).
-thread_local bool t_on_pool_thread = false;
-
-}  // namespace
 
 ThreadPool::ThreadPool(int num_threads) {
   if (num_threads < 1) num_threads = 1;
@@ -36,25 +25,11 @@ void ThreadPool::Submit(std::function<void()> task) {
   {
     MutexLock lock(mu_);
     queue_.push_back(std::move(task));
-    ++in_flight_;
   }
   work_available_.notify_one();
 }
 
-void ThreadPool::Wait() {
-  DBTF_CHECK(!t_on_pool_thread,
-             "ThreadPool::Wait called from inside a pool task: the calling "
-             "task counts as in flight, so this deadlocks. Run the wait on "
-             "the driver thread (or chain the work through a Mailbox).");
-  MutexLock lock(mu_);
-  lock.Wait(all_done_, [this] {
-    mu_.AssertHeld();
-    return in_flight_ == 0;
-  });
-}
-
 void ThreadPool::WorkerLoop() {
-  t_on_pool_thread = true;
   for (;;) {
     std::function<void()> task;
     {
@@ -71,10 +46,6 @@ void ThreadPool::WorkerLoop() {
       queue_.pop_front();
     }
     task();
-    {
-      MutexLock lock(mu_);
-      if (--in_flight_ == 0) all_done_.notify_all();
-    }
   }
 }
 

@@ -2,7 +2,6 @@
 #define DBTF_DIST_THREAD_POOL_H_
 
 #include <condition_variable>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <thread>
@@ -13,17 +12,20 @@
 
 namespace dbtf {
 
-/// Fixed-size worker pool. Tasks are arbitrary callables; Wait blocks until
-/// every submitted task has finished. Not copyable or movable.
+/// Fixed-size worker pool. Tasks are arbitrary callables; the destructor
+/// runs every queued task before it joins the threads. Callers that need a
+/// result wait on their own completion signal (Mailbox::WaitIdle, or the
+/// routing latch in dist/cluster.cc). Not copyable or movable.
 ///
-/// Locking discipline (machine-checked under Clang `-Wthread-safety`): all
-/// queue and completion state is guarded by `mu_`; the condition variables
-/// pair with it. `threads_` is written only by the constructor and joined by
-/// the destructor, so it needs no guard.
+/// Locking discipline (machine-checked under Clang `-Wthread-safety`): the
+/// queue and the shutdown flag are guarded by `mu_`; the condition variable
+/// pairs with it. `threads_` is written only by the constructor and joined
+/// by the destructor, so it needs no guard.
 class ThreadPool {
  public:
   /// Starts `num_threads` workers (values < 1 are clamped to 1).
   explicit ThreadPool(int num_threads);
+  /// Drains the queue, including tasks that queued tasks submit, then joins.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -34,21 +36,13 @@ class ThreadPool {
   /// Enqueues a task for asynchronous execution.
   void Submit(std::function<void()> task) DBTF_EXCLUDES(mu_);
 
-  /// Blocks until all submitted tasks have completed. Calling it from inside
-  /// a pool task would deadlock — the calling task counts as in flight — so
-  /// it check-fails with a clear message when invoked on a pool-owned thread
-  /// (thread-local flag).
-  void Wait() DBTF_EXCLUDES(mu_);
-
  private:
   void WorkerLoop() DBTF_EXCLUDES(mu_);
 
   std::vector<std::thread> threads_;
   Mutex mu_;
   std::condition_variable work_available_;
-  std::condition_variable all_done_;
   std::deque<std::function<void()>> queue_ DBTF_GUARDED_BY(mu_);
-  std::int64_t in_flight_ DBTF_GUARDED_BY(mu_) = 0;
   bool shutting_down_ DBTF_GUARDED_BY(mu_) = false;
 };
 

@@ -9,6 +9,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -28,6 +29,9 @@ namespace {
 /// exec failed or the child died, so we fail the provision rather than
 /// hang. poll() blocks in the kernel — no spin, no sleep.
 constexpr int kAcceptTimeoutMillis = 30000;
+
+/// First payload buffer of a frame read; later ones double (ReadFrameFrom).
+constexpr std::uint64_t kFirstPayloadChunk = std::uint64_t{1} << 20;
 
 Status IoErrno(const std::string& what) {
   return Status::IoError(what + ": " + std::strerror(errno));
@@ -342,14 +346,26 @@ Result<FramedRead> ReadFrameFrom(int fd) {
   }
   DBTF_ASSIGN_OR_RETURN(auto parsed, ParseFrameHeader(header, sizeof(header)));
   result.frame.kind = parsed.first;
-  result.frame.payload.resize(parsed.second);
-  if (parsed.second > 0) {
+  // The header's length is untrusted, so the buffer grows only as payload
+  // bytes arrive: a first chunk of up to 1 MiB, then doubling. A frame that
+  // claims gigabytes and then stops costs what was sent, not what was
+  // claimed; frames of 1 MiB or less are read in one piece.
+  const std::uint64_t size = parsed.second;
+  std::vector<std::uint8_t>& payload = result.frame.payload;
+  std::uint64_t got = 0;
+  std::uint64_t want = std::min<std::uint64_t>(size, kFirstPayloadChunk);
+  while (got < size) {
+    payload.reserve(static_cast<std::size_t>(want));
+    payload.resize(static_cast<std::size_t>(want));
     DBTF_ASSIGN_OR_RETURN(
-        bool have_payload,
-        ReadFullBytes(fd, result.frame.payload.data(), parsed.second));
-    if (!have_payload) {
+        bool have_chunk,
+        ReadFullBytes(fd, payload.data() + got,
+                      static_cast<std::size_t>(want - got)));
+    if (!have_chunk) {
       return Status::IoError("recv: connection closed mid-frame");
     }
+    got = want;
+    want = std::min<std::uint64_t>(size, 2 * want);
   }
   std::uint8_t crc_bytes[kFrameCrcBytes];
   DBTF_ASSIGN_OR_RETURN(bool have_crc,

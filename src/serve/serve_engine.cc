@@ -105,10 +105,7 @@ int ServeEngine::ShardOf(const QueryRequest& msg) const {
       key = static_cast<std::int64_t>(msg.id);
       break;
   }
-  return cluster_->config().placement
-             ? cluster_->config().placement->Place(key,
-                                                   cluster_->num_machines())
-             : cluster_->OwnerOf(key);
+  return cluster_->OwnerOf(key);
 }
 
 Status ServeEngine::Route(QueryRequest msg, QueryResponse* response) {

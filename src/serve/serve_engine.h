@@ -42,7 +42,7 @@ struct ServeStats {
 /// tests' oracle), broadcasts them to every worker through the generation-
 /// counted FactorDelta path (apply_only — the factor-update machinery is
 /// never built), and routes each query point-to-point to the machine the
-/// cluster's placement policy names for its shard key. Factors are
+/// cluster's OwnerOf names for its shard key. Factors are
 /// replicated by broadcast, so *any* machine can answer *any* query;
 /// sharding spreads load, and when the owner is lost the query fails over
 /// to the next surviving machine in ring order — after an idempotent
@@ -118,10 +118,10 @@ class ServeEngine {
   /// recovery rebroadcast. Assigns the request id.
   Status Route(QueryRequest msg, QueryResponse* response);
 
-  /// Machine the placement policy names for `msg`'s shard key. Cell-bearing
+  /// Machine Cluster::OwnerOf names for `msg`'s shard key. Cell-bearing
   /// queries shard by coordinate sum (repeat reads of a cell hit the same
   /// replica); top-R queries scan every concept anyway, so they shard by
-  /// request id (round-robin under the default placement).
+  /// request id (round-robin).
   int ShardOf(const QueryRequest& msg) const;
 
   /// Full-factor apply_only broadcast at the *current* generations: a no-op

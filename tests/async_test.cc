@@ -16,55 +16,6 @@
 namespace dbtf {
 namespace {
 
-TEST(Future, DeliversValueSetBeforeGet) {
-  Promise<int> promise;
-  Future<int> future = promise.future();
-  promise.Set(42);
-  const Result<int> value = future.Get();
-  ASSERT_TRUE(value.ok());
-  EXPECT_EQ(*value, 42);
-}
-
-TEST(Future, GetIsRepeatable) {
-  Promise<int> promise;
-  Future<int> future = promise.future();
-  promise.Set(7);
-  EXPECT_EQ(*future.Get(), 7);
-  EXPECT_EQ(*future.Get(), 7);
-}
-
-TEST(Future, DeliversErrorStatus) {
-  Promise<Unit> promise;
-  Future<Unit> future = promise.future();
-  promise.Set(Status::Internal("boom"));
-  const Result<Unit> value = future.Get();
-  EXPECT_EQ(value.status().code(), StatusCode::kInternal);
-}
-
-TEST(Future, GetBlocksUntilFulfilledFromAnotherThread) {
-  ThreadPool pool(1);
-  Promise<std::int64_t> promise;
-  Future<std::int64_t> future = promise.future();
-  pool.Submit([promise]() mutable {
-    // Burn a little CPU so Get genuinely has to wait sometimes.
-    volatile double x = 1.0;
-    for (int i = 0; i < 100000; ++i) x = x * 1.0000001 + 0.5;
-    promise.Set(std::int64_t{99});
-  });
-  EXPECT_EQ(*future.Get(), 99);
-  pool.Wait();
-}
-
-TEST(FutureDeathTest, PromiseFulfilledTwiceAborts) {
-  EXPECT_DEATH(
-      {
-        Promise<int> promise;
-        promise.Set(1);
-        promise.Set(2);
-      },
-      "exactly once");
-}
-
 TEST(Mailbox, RunsTasksInPostOrder) {
   ThreadPool pool(4);
   Mailbox mailbox(&pool);
@@ -120,7 +71,7 @@ TEST(Mailbox, IdleMailboxAcceptsLaterBursts) {
 // enqueue order (mailbox FIFO), every handler must run exactly once per
 // round (faults fail *before* the handler; retries redeliver), and the
 // ledger must charge exactly once per event. Run under TSan this is also
-// the concurrency stress for mailboxes, futures, and the ledger.
+// the concurrency stress for mailboxes, the routing latch, and the ledger.
 TEST(AsyncCluster, RoundsStayFifoAndChargeExactlyOnce) {
   constexpr int kMachines = 4;
   constexpr int kRounds = 8;

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "dist/placement.h"
 #include "dist/transport/inproc.h"
 #include "dist/worker.h"
 #include "test_util.h"
@@ -293,29 +292,6 @@ TEST(Cluster, QueryChargesOneRoundTripOnSuccessOnly) {
       << "a failed query charges nothing";
   EXPECT_EQ((*cluster)->QueryWorker(4, request, &response).code(),
             StatusCode::kInvalidArgument);
-}
-
-TEST(Placement, RoundRobinAndBlockPolicies) {
-  const RoundRobinPlacement rr;
-  EXPECT_EQ(rr.Place(5, 4), 1);
-  EXPECT_EQ(rr.name(), "round-robin");
-  const BlockPlacement block(8);
-  // ceil(8 / 4) = 2 partitions per machine, in contiguous runs.
-  EXPECT_EQ(block.Place(0, 4), 0);
-  EXPECT_EQ(block.Place(1, 4), 0);
-  EXPECT_EQ(block.Place(2, 4), 1);
-  EXPECT_EQ(block.Place(7, 4), 3);
-  EXPECT_EQ(block.Place(100, 4), 3) << "indices past N wrap to the last";
-}
-
-TEST(Cluster, PlacementPolicyIsPluggable) {
-  ClusterConfig config = SmallConfig();
-  config.placement = std::make_shared<BlockPlacement>(8);
-  auto cluster = Cluster::Create(config);
-  ASSERT_TRUE(cluster.ok());
-  EXPECT_EQ((*cluster)->OwnerOf(0), 0);
-  EXPECT_EQ((*cluster)->OwnerOf(1), 0);
-  EXPECT_EQ((*cluster)->OwnerOf(7), 3);
 }
 
 TEST(CommStats, SnapshotAndReset) {

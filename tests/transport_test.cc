@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <signal.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <filesystem>
@@ -16,6 +19,8 @@
 #include "dbtf/session.h"
 #include "dist/cluster.h"
 #include "dist/provision.h"
+#include "dist/transport/socket.h"
+#include "dist/transport/wire.h"
 #include "generator/generator.h"
 #include "tensor/unfold.h"
 
@@ -86,6 +91,40 @@ TEST(TransportOptions, ClusterConfigValidatesTransport) {
   EXPECT_FALSE(Cluster::Create(config).ok());
   config.transport.socket_workers = 2;
   EXPECT_TRUE(config.Validate().ok());
+}
+
+// --- Frame reads -------------------------------------------------------------
+
+/// High-water resident set of this process, in bytes.
+std::int64_t PeakRssBytes() {
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  return static_cast<std::int64_t>(usage.ru_maxrss) * 1024;  // KiB on Linux
+}
+
+TEST(FrameRead, ClaimedLengthIsNotAllocatedUpFront) {
+  // A header that claims 256 MiB, a few payload bytes, then EOF. The read
+  // must fail as a broken stream without ever holding a buffer the size of
+  // the claim: the payload buffer grows only as bytes arrive.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const auto header = EncodeFrameHeader(WireKind::kStorePartition,
+                                        std::uint64_t{256} << 20);
+  const std::uint8_t some[16] = {};
+  ASSERT_EQ(::write(fds[0], header.data(), header.size()),
+            static_cast<ssize_t>(header.size()));
+  ASSERT_EQ(::write(fds[0], some, sizeof(some)),
+            static_cast<ssize_t>(sizeof(some)));
+  ::close(fds[0]);
+
+  const std::int64_t before = PeakRssBytes();
+  const Result<FramedRead> read = ReadFrameFrom(fds[1]);
+  const std::int64_t grown = PeakRssBytes() - before;
+  ::close(fds[1]);
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), StatusCode::kIoError)
+      << read.status().ToString();
+  EXPECT_LT(grown, std::int64_t{32} << 20) << "peak RSS grew by " << grown;
 }
 
 // --- Socket endpoints, end to end -------------------------------------------

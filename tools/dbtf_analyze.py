@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""DBTF project analyzer: AST-grade rules the regex linter cannot express.
+"""DBTF project analyzer: structural rules the compiler cannot check.
 
-Where tools/dbtf_lint.py matches per-line patterns, this tool lexes the C++
-sources into a token stream, recovers the class/function structure, and
-checks whole-program properties (see DESIGN.md, "Correctness tooling"):
+Lexes the C++ sources into a token stream, recovers the class/function
+structure, and checks whole-program properties plus the layering of the
+driver/worker runtime (see DESIGN.md, "Correctness tooling"):
 
   discarded-status    a call whose result is dbtf::Status or Result<T> and
                       whose value is not consumed is an error. Backed by
@@ -54,6 +54,30 @@ checks whole-program properties (see DESIGN.md, "Correctness tooling"):
                       must be phrased as a division, `count > remaining() /
                       size`. Applies to src/.
 
+Layering rules, over src/ only, on code tokens (comments and string
+literals never trip them); each reports a site at most once per line and
+message. Each confines a construct to the files that own it:
+
+  worker-include      #include "dist/worker.h": src/dist/ only (driver code
+                      goes through Cluster routing and dist/provision.h).
+  naked-mutex         a `[mutable] [std::|dbtf::]Mutex name_;` member must
+                      guard something annotated DBTF_GUARDED_BY(name_).
+  thread-construction std::thread (not its statics): dist/thread_pool.*.
+  comm-stats-mutation CommStats Record*/Reset: dist/cluster.cc, so every
+                      routed message is charged exactly once.
+  fault-handling      no wall-clock sleeps in dist/ or dbtf/, and there
+                      Status::Unavailable only from dist/fault.cc and
+                      dist/cluster.cc (faults cost virtual time).
+  recovery-stats-mutation
+                      RecoveryLedger Record*: dist/cluster.cc.
+  filesystem-write    ofstream/fopen/rename: ckpt/ and tensor/io.*, which
+                      own the atomic tmp + fsync + rename discipline.
+  transport-syscalls  socket/process syscalls, bare or ::-qualified:
+                      dist/transport/, the SocketTransport's own files.
+  async-seam          std::promise/future/packaged_task/async: dist/ only;
+                      std::condition_variable: dist/ and common/mutex.h
+                      (asynchrony rides the FIFO mailboxes of dist/async.h).
+
 Backends:
   internal   a built-in C++ lexer + structural parser; no dependencies
              beyond the standard library. Always available; implements all
@@ -84,7 +108,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 RULES = ("discarded-status", "lock-order", "ckpt-coverage", "wire-coverage",
-         "guarded-by", "kernel-confinement", "wrap-bound")
+         "guarded-by", "kernel-confinement", "wrap-bound", "worker-include",
+         "naked-mutex", "thread-construction", "comm-stats-mutation",
+         "fault-handling", "recovery-stats-mutation", "filesystem-write",
+         "transport-syscalls", "async-seam")
 
 # ---------------------------------------------------------------------------
 # Lexer
@@ -1397,6 +1424,214 @@ def check_wrap_bound(files: list[SourceFile]) -> list[Finding]:
 
 
 # ---------------------------------------------------------------------------
+# Rule 7: layering (where in src/ a construct may appear)
+# ---------------------------------------------------------------------------
+
+# The nine rules of the docstring's layering list. Allowed paths below are
+# relative to src/.
+LAYERING_RULES = ("worker-include", "naked-mutex", "thread-construction",
+                  "comm-stats-mutation", "fault-handling",
+                  "recovery-stats-mutation", "filesystem-write",
+                  "transport-syscalls", "async-seam")
+
+WORKER_INCLUDE_RE = re.compile(r'#\s*include\s+"dist/worker\.h"')
+COMM_RECORDS = {"RecordShuffle", "RecordBroadcast", "RecordCollect",
+                "RecordQuery"}
+RECOVERY_RECORDS = {"RecordFailedDelivery", "RecordRetry",
+                    "RecordMachineLost", "RecordReprovision", "RecordStall"}
+TRANSPORT_SYSCALLS = {"socket", "socketpair", "bind", "listen", "accept",
+                      "connect", "setsockopt", "send", "sendmsg", "recv",
+                      "recvmsg", "fork", "vfork", "waitpid", "kill",
+                      "mkdtemp"}
+EXEC_RE = re.compile(r"exec[vl][pe]*")
+ASYNC_PRIMITIVES = {"promise", "future", "shared_future", "packaged_task",
+                    "async"}
+CONDVARS = {"condition_variable", "condition_variable_any"}
+
+LAYERING_MESSAGES = {
+    "worker-include":
+        "dist/worker.h is only visible to src/dist/; drive workers through "
+        "Cluster routing or dist/provision.h",
+    "thread-construction":
+        "std::thread objects are created only by src/dist/thread_pool.{h,cc}; "
+        "submit work to the pool instead",
+    "comm-stats-mutation":
+        "the CommStats ledger is charged only by Cluster (src/dist/cluster.cc) "
+        "so routed bytes are counted exactly once",
+    "sleep":
+        "no wall-clock sleeps in the runtime: faults, stalls, and retry "
+        "backoff are charged to the virtual clocks via dist/fault.h",
+    "unavailable":
+        "Status::Unavailable is manufactured only by the fault seam "
+        "(dist/fault.cc) and the retrying router (dist/cluster.cc); express "
+        "failures through dist/fault.h",
+    "recovery-stats-mutation":
+        "the RecoveryLedger is charged only by Cluster (src/dist/cluster.cc) "
+        "so every retry and re-provision is counted exactly once",
+    "filesystem-write":
+        "filesystem writes are confined to the checkpoint store (src/ckpt/) "
+        "and the tensor text codecs (src/tensor/io.cc); durable state written "
+        "elsewhere escapes the atomic tmp+fsync+rename discipline",
+    "transport-syscalls":
+        "raw process/socket syscalls live only in src/dist/transport/ (the "
+        "SocketTransport owns process lifecycles and frame I/O); route work "
+        "through the Transport seam",
+    "async-primitive":
+        "std:: futures, promises and std::async are confined to src/dist/, "
+        "where every delivery rides a Mailbox; outside it they bypass the "
+        "per-machine FIFO ordering",
+    "condvar":
+        "std::condition_variable is confined to src/dist/ and common/mutex.h; "
+        "post to a Mailbox instead of hand-rolled signalling",
+}
+
+
+def _text(tokens: list[Token], i: int) -> str:
+    return tokens[i].text if 0 <= i < len(tokens) else ""
+
+
+def _std_name(tokens: list[Token], i: int) -> bool:
+    """tokens[i] is written `std::name`."""
+    return _text(tokens, i - 1) == "::" and _text(tokens, i - 2) == "std"
+
+
+def _global_name(tokens: list[Token], i: int) -> bool:
+    """tokens[i] is written bare or as `::name` (the C library's global
+    syscalls), not as a member of some namespace or class."""
+    return (_text(tokens, i - 1) != "::"
+            or not (i >= 2 and (tokens[i - 2].kind == "id"
+                                or tokens[i - 2].text == ">")))
+
+
+def _global_or_std_name(tokens: list[Token], i: int) -> bool:
+    """tokens[i] is written bare, `::name` or `std::name`."""
+    return _global_name(tokens, i) or (_std_name(tokens, i)
+                                       and _text(tokens, i - 3) != "::")
+
+
+def _guarded_mutexes(tokens: list[Token]) -> set[str]:
+    """Mutex names some member of this file is annotated as guarded by."""
+    return {tokens[i + 2].text for i, t in enumerate(tokens[:-3])
+            if t.kind == "id" and t.text.endswith("GUARDED_BY")
+            and tokens[i + 1].text == "(" and tokens[i + 2].kind == "id"
+            and tokens[i + 3].text == ")"}
+
+
+def _naked_mutex_sites(tokens: list[Token]) -> list[tuple[int, str]]:
+    """`[mutable] [std::|dbtf::]Mutex name_;` declarations that open their
+    line, with the declared name."""
+    sites = []
+    for i, t in enumerate(tokens):
+        if not (t.kind == "id" and t.text in ("Mutex", "mutex")
+                and i + 2 < len(tokens) and tokens[i + 1].kind == "id"
+                and tokens[i + 1].text.endswith("_")
+                and tokens[i + 2].text == ";"):
+            continue
+        start = i
+        if _text(tokens, i - 1) == "::" and _text(tokens, i - 2) in ("std",
+                                                                    "dbtf"):
+            start = i - 2
+        if _text(tokens, start - 1) == "mutable":
+            start -= 1
+        if start == 0 or tokens[start - 1].line < tokens[start].line:
+            sites.append((t.line, tokens[i + 1].text))
+    return sites
+
+
+def _scan_layering(sf: SourceFile) -> list[Finding]:
+    """All nine layering checks over one src/ file."""
+    rel = sf.rel[len("src/"):]
+    toks = sf.tokens
+    hits: list[tuple[int, str, str]] = []  # (line, rule, message key)
+
+    def hit(line: int, rule: str, key: str | None = None) -> None:
+        hits.append((line, rule, key or rule))
+
+    in_runtime = rel.startswith(("dist/", "dbtf/"))
+    allow_unavailable = rel in ("dist/fault.cc", "dist/cluster.cc",
+                                "common/status.h", "common/status.cc")
+    if rel != "common/mutex.h":
+        guarded = _guarded_mutexes(toks)
+        for line, name in _naked_mutex_sites(toks):
+            if name not in guarded:
+                hits.append((line, "naked-mutex", name))
+    for i, t in enumerate(toks):
+        if t.kind == "pp":
+            if (not rel.startswith("dist/")
+                    and WORKER_INCLUDE_RE.search(t.text)):
+                hit(t.line, "worker-include")
+            continue
+        if t.kind != "id":
+            continue
+        name = t.text
+        prev = _text(toks, i - 1)
+        call = _text(toks, i + 1) == "("
+        if (name == "thread" and _std_name(toks, i)
+                and _text(toks, i + 1) != "::"
+                and rel not in ("dist/thread_pool.h", "dist/thread_pool.cc")):
+            hit(t.line, "thread-construction")
+        if rel != "dist/cluster.cc" and call:
+            if name in COMM_RECORDS and prev in (".", "->"):
+                hit(t.line, "comm-stats-mutation")
+            if (name == "Reset" and prev == "." and
+                    (_text(toks, i - 2) == "comm_" or
+                     [_text(toks, j) for j in (i - 4, i - 3, i - 2)]
+                     == ["comm", "(", ")"])):
+                hit(t.line, "comm-stats-mutation")
+            if name in RECOVERY_RECORDS and prev in (".", "->"):
+                hit(t.line, "recovery-stats-mutation")
+        if in_runtime:
+            if ((name in ("sleep_for", "sleep_until") and prev == "::"
+                 and _text(toks, i - 2) == "this_thread"
+                 and _text(toks, i - 3) == "::"
+                 and _text(toks, i - 4) == "std")
+                    or (call and name in ("usleep", "nanosleep"))
+                    or (call and name == "sleep" and _global_name(toks, i))):
+                hit(t.line, "fault-handling", "sleep")
+            if (not allow_unavailable and call and name == "Unavailable"
+                    and prev == "::" and _text(toks, i - 2) == "Status"):
+                hit(t.line, "fault-handling", "unavailable")
+        if (not (rel.startswith("ckpt/") or rel in ("tensor/io.cc",
+                                                     "tensor/io.h"))
+                and (name == "ofstream"
+                     or (call and name in ("fopen", "rename")))
+                and _global_or_std_name(toks, i)):
+            hit(t.line, "filesystem-write")
+        if (not rel.startswith("dist/transport/") and call
+                and (name in TRANSPORT_SYSCALLS or EXEC_RE.fullmatch(name))
+                and _global_name(toks, i)):
+            hit(t.line, "transport-syscalls")
+        if not rel.startswith("dist/") and _std_name(toks, i):
+            if name in ASYNC_PRIMITIVES:
+                hit(t.line, "async-seam", "async-primitive")
+            if name in CONDVARS and rel != "common/mutex.h":
+                hit(t.line, "async-seam", "condvar")
+
+    findings: list[Finding] = []
+    seen: set[tuple[int, str, str]] = set()
+    for line, rule, key in hits:
+        if (line, rule, key) in seen or sf.suppressed(line, rule):
+            continue
+        seen.add((line, rule, key))
+        if rule == "naked-mutex":
+            message = (f"mutex member '{key}' guards nothing: annotate the "
+                       f"protected members with DBTF_GUARDED_BY({key})")
+        else:
+            message = LAYERING_MESSAGES[key]
+        findings.append(Finding(sf.rel, line, rule, message))
+    return findings
+
+
+def check_layering(files: list[SourceFile],
+                   rules: list[str]) -> list[Finding]:
+    findings: list[Finding] = []
+    for sf in files:
+        if sf.rel.startswith("src/"):
+            findings.extend(f for f in _scan_layering(sf) if f.rule in rules)
+    return findings
+
+
+# ---------------------------------------------------------------------------
 # libclang backend (optional; replaces the internal discarded-status pass)
 # ---------------------------------------------------------------------------
 
@@ -1526,6 +1761,9 @@ def analyze(root: Path, rules: list[str], backend: str) -> list[Finding]:
         findings.extend(check_kernel_confinement(files))
     if "wrap-bound" in rules:
         findings.extend(check_wrap_bound(files))
+    layering = [rule for rule in rules if rule in LAYERING_RULES]
+    if layering:
+        findings.extend(check_layering(files, layering))
     return findings
 
 

@@ -28,6 +28,11 @@ def rules_in(findings: list) -> set[str]:
     return {f.rule for f in findings}
 
 
+def sites(findings: list) -> list[str]:
+    return [f"{f.path}:{f.line}"
+            for f in sorted(findings, key=lambda f: (f.path, f.line))]
+
+
 class LexerTest(unittest.TestCase):
     def test_comments_strings_and_pp_are_opaque(self):
         tokens = dbtf_analyze.lex(
@@ -184,6 +189,91 @@ class FixtureTest(unittest.TestCase):
         self.assertEqual(len(dbtf_analyze._scan_kernel_confinement(sf)), 2)
         self.assertEqual(run("clean", rules=["kernel-confinement"]), [])
 
+    def test_worker_include_fixture_trips(self):
+        findings = run("worker_include")
+        self.assertEqual(rules_in(findings), {"worker-include"})
+        self.assertEqual(sites(findings), ["src/dbtf/session.h:6"])
+
+    def test_engine_may_not_include_worker(self):
+        # The engine routes typed messages only; it has no exemption.
+        include = '#include "dist/worker.h"\n'
+        findings = dbtf_analyze._scan_layering(
+            dbtf_analyze.SourceFile("src/dbtf/engine.cc", include))
+        self.assertEqual([f.rule for f in findings], ["worker-include"])
+        self.assertEqual(dbtf_analyze._scan_layering(
+            dbtf_analyze.SourceFile("src/dist/cluster.cc", include)), [])
+
+    def test_naked_mutex_fixture_trips(self):
+        findings = run("naked_mutex")
+        self.assertEqual(rules_in(findings), {"naked-mutex"})
+        self.assertEqual(sites(findings), ["src/dist/registry.h:10"])
+        self.assertIn("mu_", findings[0].message)
+
+    def test_thread_construction_fixture_trips(self):
+        findings = run("thread_construction")
+        self.assertEqual(rules_in(findings), {"thread-construction"})
+        self.assertEqual(sites(findings), ["src/dbtf/runner.cc:5"])
+
+    def test_comm_stats_mutation_fixture_trips(self):
+        findings = run("comm_stats_mutation")
+        self.assertEqual(rules_in(findings), {"comm-stats-mutation"})
+        # Every Record* lane mutation and the Reset line are flagged.
+        self.assertEqual(sites(findings), [f"src/dbtf/charger.cc:{n}"
+                                           for n in (5, 6, 7)])
+
+    def test_fault_handling_fixture_trips(self):
+        findings = run("fault_handling")
+        self.assertEqual(rules_in(findings), {"fault-handling"})
+        # Two sleeps plus one ad-hoc Status::Unavailable construction.
+        self.assertEqual(sites(findings), [f"src/dbtf/retry_hack.cc:{n}"
+                                           for n in (8, 9, 11)])
+
+    def test_filesystem_write_fixture_trips(self):
+        findings = run("filesystem_write")
+        self.assertEqual(rules_in(findings), {"filesystem-write"})
+        # One ofstream, one fopen, and one publishing rename.
+        self.assertEqual(sites(findings), [f"src/dbtf/dumper.cc:{n}"
+                                           for n in (8, 10, 13)])
+
+    def test_recovery_stats_mutation_fixture_trips(self):
+        findings = run("recovery_stats_mutation")
+        self.assertEqual(rules_in(findings), {"recovery-stats-mutation"})
+        self.assertEqual(sites(findings), [f"src/dbtf/healer.cc:{n}"
+                                           for n in (6, 7)])
+
+    def test_transport_syscalls_fixture_trips(self):
+        findings = run("transport_syscalls")
+        self.assertEqual(rules_in(findings), {"transport-syscalls"})
+        # socket, bind, listen, fork, execv, kill, waitpid — one finding per
+        # line; the "socket (" usage string and std::bind stay clean.
+        self.assertEqual(sites(findings), [f"src/dbtf/launcher.cc:{n}"
+                                           for n in range(9, 16)])
+
+    def test_global_qualified_syscalls_trip(self):
+        # `::socket(` is the C library call the rule guards; `std::bind(`
+        # and members of other scopes are not.
+        findings = dbtf_analyze._scan_layering(dbtf_analyze.SourceFile(
+            "src/dbtf/x.cc",
+            "void F() {\n"
+            "  int fd = ::socket(1, 1, 0);\n"
+            "  ::usleep(10);\n"
+            "  std::rename(a, b);\n"
+            "  auto f = std::bind(&F);\n"
+            "  net::connect(fd);\n"
+            "  Helper<int>::kill(fd);\n"
+            "}\n"))
+        self.assertEqual([(f.line, f.rule) for f in findings],
+                         [(2, "transport-syscalls"), (3, "fault-handling"),
+                          (4, "filesystem-write")])
+
+    def test_async_seam_fixture_trips(self):
+        findings = run("async_seam")
+        self.assertEqual(rules_in(findings), {"async-seam"})
+        # std::future return, std::async call, std::promise member, and a
+        # std::condition_variable member — one finding per line.
+        self.assertEqual(sites(findings), [f"src/dbtf/pipeline.h:{n}"
+                                           for n in (12, 13, 17, 18)])
+
     def test_suppression_comment_silences_a_rule(self):
         root = FIXTURES / "unannotated_guarded"
         path = root / "src" / "dist" / "counter.h"
@@ -249,6 +339,16 @@ class RepoTest(unittest.TestCase):
             by_rel["src/common/kernels/portable.cc"].tokens)
         self.assertLessEqual({"w", "x", "y", "d", "mask"}, ids)
 
+        # The layering rules must see what their path exemptions excuse:
+        # the socket transport and the pool, read as driver code, trip.
+        for rel, rule in (("src/dist/transport/socket.cc",
+                           "transport-syscalls"),
+                          ("src/dist/thread_pool.cc", "thread-construction")):
+            moved = dbtf_analyze.SourceFile("src/dbtf/moved.cc",
+                                            by_rel[rel].text)
+            rules = [f.rule for f in dbtf_analyze._scan_layering(moved)]
+            self.assertIn(rule, rules, rel)
+
         # wrap-bound must see the wire decoders' bounds: the tree is clean
         # because they divide, not because the scan finds no remaining().
         wire = by_rel["src/dist/transport/wire.cc"]
@@ -262,6 +362,9 @@ class RepoTest(unittest.TestCase):
             ["--root", str(FIXTURES / "clean"), "--backend", "internal"]), 0)
         self.assertEqual(dbtf_analyze.main(
             ["--root", str(FIXTURES / "discarded_status"),
+             "--backend", "internal"]), 1)
+        self.assertEqual(dbtf_analyze.main(
+            ["--root", str(FIXTURES / "worker_include"),
              "--backend", "internal"]), 1)
         self.assertEqual(dbtf_analyze.main(
             ["--root", str(FIXTURES), "--backend", "internal"]), 2)
